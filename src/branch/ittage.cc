@@ -23,11 +23,12 @@ IttageConfig::storageBits() const
 }
 
 Ittage::Ittage(const IttageConfig &config, std::uint64_t seed)
-    : cfg(config), rng(seed)
+    : cfg(config)
 {
-    base.assign(std::size_t(1) << cfg.logBase, 0);
-    tables.assign(cfg.numTables, {});
-    for (auto &t : tables)
+    st.rng = Xoshiro256(seed);
+    st.base.assign(std::size_t(1) << cfg.logBase, 0);
+    st.tables.assign(cfg.numTables, {});
+    for (auto &t : st.tables)
         t.assign(std::size_t(1) << cfg.logTagged, Entry{});
 
     histLen.resize(cfg.numTables);
@@ -42,8 +43,8 @@ Ittage::Ittage(const IttageConfig &config, std::uint64_t seed)
         len *= ratio;
     }
     for (unsigned t = 0; t < cfg.numTables; ++t) {
-        foldIdx.emplace_back(histLen[t], cfg.logTagged);
-        foldTag.emplace_back(histLen[t], cfg.tagBits);
+        st.foldIdx.emplace_back(histLen[t], cfg.logTagged);
+        st.foldTag.emplace_back(histLen[t], cfg.tagBits);
     }
 }
 
@@ -51,7 +52,7 @@ unsigned
 Ittage::tableIndex(Addr pc, unsigned t) const
 {
     const std::uint64_t h =
-        (pc >> 2) ^ (pc >> (cfg.logTagged + 2)) ^ foldIdx[t].value();
+        (pc >> 2) ^ (pc >> (cfg.logTagged + 2)) ^ st.foldIdx[t].value();
     return unsigned(h & mask(cfg.logTagged));
 }
 
@@ -59,40 +60,41 @@ std::uint16_t
 Ittage::tableTag(Addr pc, unsigned t) const
 {
     const std::uint64_t h =
-        (pc >> 2) ^ foldTag[t].value() ^ (foldTag[t].value() << 1);
+        (pc >> 2) ^ st.foldTag[t].value() ^ (st.foldTag[t].value() << 1);
     return std::uint16_t(h & mask(cfg.tagBits));
 }
 
 Addr
 Ittage::predict(Addr pc)
 {
-    ++numLookups;
-    lastPc = pc;
-    providerTable = -1;
-    lastPrediction = base[(pc >> 2) & mask(cfg.logBase)];
+    ++st.numLookups;
+    st.lastPc = pc;
+    st.providerTable = -1;
+    st.lastPrediction = st.base[(pc >> 2) & mask(cfg.logBase)];
 
     for (int t = int(cfg.numTables) - 1; t >= 0; --t) {
-        const Entry &e = tables[t][tableIndex(pc, t)];
+        const Entry &e = st.tables[t][tableIndex(pc, t)];
         if (e.valid && e.tag == tableTag(pc, t)) {
-            providerTable = t;
-            if (e.conf >= 1 || lastPrediction == 0)
-                lastPrediction = e.target;
+            st.providerTable = t;
+            if (e.conf >= 1 || st.lastPrediction == 0)
+                st.lastPrediction = e.target;
             break;
         }
     }
-    return lastPrediction;
+    return st.lastPrediction;
 }
 
 void
 Ittage::update(Addr pc, Addr target)
 {
-    lvp_assert(pc == lastPc, "update without matching predict");
-    const bool correct = lastPrediction == target;
+    lvp_assert(pc == st.lastPc, "update without matching predict");
+    const bool correct = st.lastPrediction == target;
     if (!correct)
-        ++numMispredicts;
+        ++st.numMispredicts;
 
-    if (providerTable >= 0) {
-        Entry &e = tables[providerTable][tableIndex(pc, providerTable)];
+    if (st.providerTable >= 0) {
+        Entry &e =
+            st.tables[st.providerTable][tableIndex(pc, st.providerTable)];
         if (e.target == target) {
             if (e.conf < 3)
                 ++e.conf;
@@ -104,11 +106,11 @@ Ittage::update(Addr pc, Addr target)
             e.conf = 0;
         }
     }
-    base[(pc >> 2) & mask(cfg.logBase)] = target;
+    st.base[(pc >> 2) & mask(cfg.logBase)] = target;
 
-    if (!correct && providerTable < int(cfg.numTables) - 1) {
-        for (int t = providerTable + 1; t < int(cfg.numTables); ++t) {
-            Entry &e = tables[t][tableIndex(pc, t)];
+    if (!correct && st.providerTable < int(cfg.numTables) - 1) {
+        for (int t = st.providerTable + 1; t < int(cfg.numTables); ++t) {
+            Entry &e = st.tables[t][tableIndex(pc, t)];
             if (!e.valid || e.useful == 0) {
                 e.valid = true;
                 e.tag = tableTag(pc, t);
@@ -124,48 +126,16 @@ Ittage::update(Addr pc, Addr target)
     // distinct targets perturbs the folded histories (raw low target
     // bits are often identical across aligned handlers).
     const std::uint64_t h = mix64(target);
-    ring.push(unsigned(h & 1));
+    st.ring.push(unsigned(h & 1));
     for (unsigned t = 0; t < cfg.numTables; ++t) {
-        foldIdx[t].update(ring);
-        foldTag[t].update(ring);
+        st.foldIdx[t].update(st.ring);
+        st.foldTag[t].update(st.ring);
     }
-    ring.push(unsigned((h >> 1) & 1));
+    st.ring.push(unsigned((h >> 1) & 1));
     for (unsigned t = 0; t < cfg.numTables; ++t) {
-        foldIdx[t].update(ring);
-        foldTag[t].update(ring);
+        st.foldIdx[t].update(st.ring);
+        st.foldTag[t].update(st.ring);
     }
-}
-
-void
-Ittage::saveState(Snapshot &s) const
-{
-    s.base = base;
-    s.tables = tables;
-    s.foldIdx = foldIdx;
-    s.foldTag = foldTag;
-    s.ring = ring;
-    s.rng = rng;
-    s.providerTable = providerTable;
-    s.lastPrediction = lastPrediction;
-    s.lastPc = lastPc;
-    s.numLookups = numLookups;
-    s.numMispredicts = numMispredicts;
-}
-
-void
-Ittage::restoreState(const Snapshot &s)
-{
-    base = s.base;
-    tables = s.tables;
-    foldIdx = s.foldIdx;
-    foldTag = s.foldTag;
-    ring = s.ring;
-    rng = s.rng;
-    providerTable = s.providerTable;
-    lastPrediction = s.lastPrediction;
-    lastPc = s.lastPc;
-    numLookups = s.numLookups;
-    numMispredicts = s.numMispredicts;
 }
 
 } // namespace branch

@@ -43,8 +43,8 @@ class Ittage
     /** Train with the true target and advance history (trace order). */
     void update(Addr pc, Addr target);
 
-    std::uint64_t lookups() const { return numLookups; }
-    std::uint64_t mispredicts() const { return numMispredicts; }
+    std::uint64_t lookups() const { return st.numLookups; }
+    std::uint64_t mispredicts() const { return st.numMispredicts; }
 
   private:
     struct Entry
@@ -54,32 +54,18 @@ class Ittage
         Addr target = 0;
         std::uint8_t conf = 0;   ///< 2-bit
         std::uint8_t useful = 0; ///< 1-bit
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(valid, tag, target, conf, useful);
+        }
     };
-
-    unsigned tableIndex(Addr pc, unsigned t) const;
-    std::uint16_t tableTag(Addr pc, unsigned t) const;
-
-    // lvplint: allow(state-snapshot) -- construction-time config, immutable
-    IttageConfig cfg;
-    std::vector<Addr> base;
-    std::vector<std::vector<Entry>> tables;
-    // lvplint: allow(state-snapshot) -- derived from cfg, immutable
-    std::vector<unsigned> histLen;
-    std::vector<FoldedHistory> foldIdx;
-    std::vector<FoldedHistory> foldTag;
-    HistoryRing ring;
-    Xoshiro256 rng;
-
-    int providerTable = -1;
-    Addr lastPrediction = 0;
-    Addr lastPc = 0;
-
-    std::uint64_t numLookups = 0;
-    std::uint64_t numMispredicts = 0;
 
   public:
     /** Mutable state only; table geometry comes from the config. */
-    struct Snapshot
+    struct State
     {
         std::vector<Addr> base;
         std::vector<std::vector<Entry>> tables;
@@ -87,15 +73,35 @@ class Ittage
         std::vector<FoldedHistory> foldTag;
         HistoryRing ring;
         Xoshiro256 rng;
-        int providerTable = -1;
+
+        std::int64_t providerTable = -1; ///< 64-bit, as in the snapshot
         Addr lastPrediction = 0;
         Addr lastPc = 0;
+
         std::uint64_t numLookups = 0;
         std::uint64_t numMispredicts = 0;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(base, tables, foldIdx, foldTag, ring, rng, providerTable,
+              lastPrediction, lastPc, numLookups, numMispredicts);
+        }
     };
 
-    void saveState(Snapshot &s) const;
-    void restoreState(const Snapshot &s);
+    void saveState(State &s) const { s = st; }
+    void restoreState(const State &s) { st = s; }
+
+  private:
+    unsigned tableIndex(Addr pc, unsigned t) const;
+    std::uint16_t tableTag(Addr pc, unsigned t) const;
+
+    // lvplint: allow(state-snapshot) -- construction-time config, immutable
+    IttageConfig cfg;
+    // lvplint: allow(state-snapshot) -- derived from cfg, immutable
+    std::vector<unsigned> histLen;
+    State st;
 };
 
 } // namespace branch

@@ -22,11 +22,12 @@ TageConfig::storageBits() const
 }
 
 Tage::Tage(const TageConfig &config, std::uint64_t seed)
-    : cfg(config), rng(seed)
+    : cfg(config)
 {
-    base.assign(std::size_t(1) << cfg.logBase, 0);
-    tables.assign(cfg.numTables, {});
-    for (auto &t : tables)
+    st.rng = Xoshiro256(seed);
+    st.base.assign(std::size_t(1) << cfg.logBase, 0);
+    st.tables.assign(cfg.numTables, {});
+    for (auto &t : st.tables)
         t.assign(std::size_t(1) << cfg.logTagged, TaggedEntry{});
 
     // Geometric history lengths between minHist and maxHist.
@@ -43,9 +44,9 @@ Tage::Tage(const TageConfig &config, std::uint64_t seed)
     }
 
     for (unsigned t = 0; t < cfg.numTables; ++t) {
-        foldIdx.emplace_back(histLen[t], cfg.logTagged);
-        foldTag1.emplace_back(histLen[t], cfg.tagBits);
-        foldTag2.emplace_back(histLen[t], cfg.tagBits - 1);
+        st.foldIdx.emplace_back(histLen[t], cfg.logTagged);
+        st.foldTag1.emplace_back(histLen[t], cfg.tagBits);
+        st.foldTag2.emplace_back(histLen[t], cfg.tagBits - 1);
     }
 }
 
@@ -53,59 +54,59 @@ unsigned
 Tage::tableIndex(Addr pc, unsigned t) const
 {
     const std::uint64_t h = (pc >> 2) ^ (pc >> (cfg.logTagged + 2)) ^
-                            foldIdx[t].value() ^
-                            (pathHist & mask(std::min(16u, histLen[t])));
+                            st.foldIdx[t].value() ^
+                            (st.pathHist & mask(std::min(16u, histLen[t])));
     return unsigned(h & mask(cfg.logTagged));
 }
 
 std::uint16_t
 Tage::tableTag(Addr pc, unsigned t) const
 {
-    const std::uint64_t h = (pc >> 2) ^ foldTag1[t].value() ^
-                            (std::uint64_t(foldTag2[t].value()) << 1);
+    const std::uint64_t h = (pc >> 2) ^ st.foldTag1[t].value() ^
+                            (std::uint64_t(st.foldTag2[t].value()) << 1);
     return std::uint16_t(h & mask(cfg.tagBits));
 }
 
 bool
 Tage::predict(Addr pc)
 {
-    ++numLookups;
-    lastPc = pc;
-    providerTable = -1;
-    altTable = -1;
+    ++st.numLookups;
+    st.lastPc = pc;
+    st.providerTable = -1;
+    st.altTable = -1;
 
     const bool base_pred =
-        base[(pc >> 2) & mask(cfg.logBase)] >= 0;
+        st.base[(pc >> 2) & mask(cfg.logBase)] >= 0;
 
     for (int t = int(cfg.numTables) - 1; t >= 0; --t) {
-        const TaggedEntry &e = tables[t][tableIndex(pc, t)];
+        const TaggedEntry &e = st.tables[t][tableIndex(pc, t)];
         if (e.valid && e.tag == tableTag(pc, t)) {
-            if (providerTable < 0) {
-                providerTable = t;
-                providerPred = e.ctr >= 0;
-            } else if (altTable < 0) {
-                altTable = t;
-                altPred = e.ctr >= 0;
+            if (st.providerTable < 0) {
+                st.providerTable = t;
+                st.providerPred = e.ctr >= 0;
+            } else if (st.altTable < 0) {
+                st.altTable = t;
+                st.altPred = e.ctr >= 0;
                 break;
             }
         }
     }
-    if (altTable < 0)
-        altPred = base_pred;
+    if (st.altTable < 0)
+        st.altPred = base_pred;
 
-    lastPrediction = providerTable >= 0 ? providerPred : base_pred;
-    return lastPrediction;
+    st.lastPrediction = st.providerTable >= 0 ? st.providerPred : base_pred;
+    return st.lastPrediction;
 }
 
 void
 Tage::pushHistory(Addr pc, bool taken)
 {
-    ring.push(taken ? 1 : 0);
-    pathHist = (pathHist << 1) | ((pc >> 2) & 1);
+    st.ring.push(taken ? 1 : 0);
+    st.pathHist = (st.pathHist << 1) | ((pc >> 2) & 1);
     for (unsigned t = 0; t < cfg.numTables; ++t) {
-        foldIdx[t].update(ring);
-        foldTag1[t].update(ring);
-        foldTag2[t].update(ring);
+        st.foldIdx[t].update(st.ring);
+        st.foldTag1[t].update(st.ring);
+        st.foldTag2[t].update(st.ring);
     }
 }
 
@@ -118,9 +119,9 @@ Tage::updateHistoryOnly(Addr pc, bool taken)
 void
 Tage::update(Addr pc, bool taken)
 {
-    lvp_assert(pc == lastPc, "update without matching predict");
-    if (lastPrediction != taken)
-        ++numMispredicts;
+    lvp_assert(pc == st.lastPc, "update without matching predict");
+    if (st.lastPrediction != taken)
+        ++st.numMispredicts;
 
     auto bump = [](std::int8_t &c, bool up, int lo, int hi) {
         if (up && c < hi)
@@ -133,13 +134,13 @@ Tage::update(Addr pc, bool taken)
     const int cmin = -(1 << (cfg.counterBits - 1));
     const unsigned umax = (1u << cfg.usefulBits) - 1;
 
-    if (providerTable >= 0) {
+    if (st.providerTable >= 0) {
         TaggedEntry &e =
-            tables[providerTable][tableIndex(pc, providerTable)];
+            st.tables[st.providerTable][tableIndex(pc, st.providerTable)];
         // Useful counter: provider differed from alt and was right(+)
         // or wrong(-).
-        if (providerPred != altPred) {
-            if (providerPred == taken) {
+        if (st.providerPred != st.altPred) {
+            if (st.providerPred == taken) {
                 if (e.useful < umax)
                     ++e.useful;
             } else if (e.useful > 0) {
@@ -148,21 +149,21 @@ Tage::update(Addr pc, bool taken)
         }
         bump(e.ctr, taken, cmin, cmax);
     } else {
-        std::int8_t &c = base[(pc >> 2) & mask(cfg.logBase)];
+        std::int8_t &c = st.base[(pc >> 2) & mask(cfg.logBase)];
         bump(c, taken, -2, 1); // 2-bit bimodal
     }
 
     // Allocate a new entry on a misprediction, in a longer table.
-    if (lastPrediction != taken &&
-        providerTable < int(cfg.numTables) - 1) {
+    if (st.lastPrediction != taken &&
+        st.providerTable < int(cfg.numTables) - 1) {
         // Gather longer tables with a free (useful == 0) entry.
-        int start = providerTable + 1;
+        int start = st.providerTable + 1;
         // Probabilistically skip ahead to spread allocations.
-        if (start < int(cfg.numTables) - 1 && rng.bernoulli(0.5))
-            start += rng.below(2);
+        if (start < int(cfg.numTables) - 1 && st.rng.bernoulli(0.5))
+            start += st.rng.below(2);
         bool allocated = false;
         for (int t = start; t < int(cfg.numTables); ++t) {
-            TaggedEntry &e = tables[t][tableIndex(pc, t)];
+            TaggedEntry &e = st.tables[t][tableIndex(pc, t)];
             if (!e.valid || e.useful == 0) {
                 e.valid = true;
                 e.tag = tableTag(pc, t);
@@ -175,7 +176,7 @@ Tage::update(Addr pc, bool taken)
         if (!allocated) {
             // Aging: decay useful bits on the failed path.
             for (int t = start; t < int(cfg.numTables); ++t) {
-                TaggedEntry &e = tables[t][tableIndex(pc, t)];
+                TaggedEntry &e = st.tables[t][tableIndex(pc, t)];
                 if (e.useful > 0)
                     --e.useful;
             }
@@ -183,48 +184,6 @@ Tage::update(Addr pc, bool taken)
     }
 
     pushHistory(pc, taken);
-}
-
-void
-Tage::saveState(Snapshot &s) const
-{
-    s.base = base;
-    s.tables = tables;
-    s.foldIdx = foldIdx;
-    s.foldTag1 = foldTag1;
-    s.foldTag2 = foldTag2;
-    s.ring = ring;
-    s.pathHist = pathHist;
-    s.rng = rng;
-    s.providerTable = providerTable;
-    s.altTable = altTable;
-    s.providerPred = providerPred;
-    s.altPred = altPred;
-    s.lastPrediction = lastPrediction;
-    s.lastPc = lastPc;
-    s.numLookups = numLookups;
-    s.numMispredicts = numMispredicts;
-}
-
-void
-Tage::restoreState(const Snapshot &s)
-{
-    base = s.base;
-    tables = s.tables;
-    foldIdx = s.foldIdx;
-    foldTag1 = s.foldTag1;
-    foldTag2 = s.foldTag2;
-    ring = s.ring;
-    pathHist = s.pathHist;
-    rng = s.rng;
-    providerTable = s.providerTable;
-    altTable = s.altTable;
-    providerPred = s.providerPred;
-    altPred = s.altPred;
-    lastPrediction = s.lastPrediction;
-    lastPc = s.lastPc;
-    numLookups = s.numLookups;
-    numMispredicts = s.numMispredicts;
 }
 
 } // namespace branch

@@ -55,8 +55,8 @@ class Tage
     /** Advance history for a branch that was not predicted by TAGE. */
     void updateHistoryOnly(Addr pc, bool taken);
 
-    std::uint64_t lookups() const { return numLookups; }
-    std::uint64_t mispredicts() const { return numMispredicts; }
+    std::uint64_t lookups() const { return st.numLookups; }
+    std::uint64_t mispredicts() const { return st.numMispredicts; }
 
   private:
     struct TaggedEntry
@@ -65,41 +65,20 @@ class Tage
         std::int8_t ctr = 0;     ///< signed; taken if >= 0
         std::uint8_t useful = 0;
         bool valid = false;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(tag, ctr, useful, valid);
+        }
     };
-
-    unsigned tableIndex(Addr pc, unsigned t) const;
-    std::uint16_t tableTag(Addr pc, unsigned t) const;
-    void pushHistory(Addr pc, bool taken);
-
-    // lvplint: allow(state-snapshot) -- construction-time config, immutable
-    TageConfig cfg;
-    std::vector<std::int8_t> base; ///< 2-bit bimodal, taken if >= 0
-    std::vector<std::vector<TaggedEntry>> tables;
-    // lvplint: allow(state-snapshot) -- derived from cfg, immutable
-    std::vector<unsigned> histLen;
-    std::vector<FoldedHistory> foldIdx;
-    std::vector<FoldedHistory> foldTag1;
-    std::vector<FoldedHistory> foldTag2;
-    HistoryRing ring;
-    std::uint64_t pathHist = 0;
-    Xoshiro256 rng;
-
-    // Prediction state carried from predict() to update().
-    int providerTable = -1;
-    int altTable = -1;
-    bool providerPred = false;
-    bool altPred = false;
-    bool lastPrediction = false;
-    Addr lastPc = 0;
-
-    std::uint64_t numLookups = 0;
-    std::uint64_t numMispredicts = 0;
 
   public:
     /** Mutable state only; table geometry comes from the config. */
-    struct Snapshot
+    struct State
     {
-        std::vector<std::int8_t> base;
+        std::vector<std::int8_t> base; ///< 2-bit bimodal, taken if >= 0
         std::vector<std::vector<TaggedEntry>> tables;
         std::vector<FoldedHistory> foldIdx;
         std::vector<FoldedHistory> foldTag1;
@@ -107,18 +86,42 @@ class Tage
         HistoryRing ring;
         std::uint64_t pathHist = 0;
         Xoshiro256 rng;
-        int providerTable = -1;
-        int altTable = -1;
+
+        // Prediction state carried from predict() to update(). The
+        // table indices are 64-bit because the snapshot format is.
+        std::int64_t providerTable = -1;
+        std::int64_t altTable = -1;
         bool providerPred = false;
         bool altPred = false;
         bool lastPrediction = false;
         Addr lastPc = 0;
+
         std::uint64_t numLookups = 0;
         std::uint64_t numMispredicts = 0;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(base, tables, foldIdx, foldTag1, foldTag2, ring, pathHist,
+              rng, providerTable, altTable, providerPred, altPred,
+              lastPrediction, lastPc, numLookups, numMispredicts);
+        }
     };
 
-    void saveState(Snapshot &s) const;
-    void restoreState(const Snapshot &s);
+    void saveState(State &s) const { s = st; }
+    void restoreState(const State &s) { st = s; }
+
+  private:
+    unsigned tableIndex(Addr pc, unsigned t) const;
+    std::uint16_t tableTag(Addr pc, unsigned t) const;
+    void pushHistory(Addr pc, bool taken);
+
+    // lvplint: allow(state-snapshot) -- construction-time config, immutable
+    TageConfig cfg;
+    // lvplint: allow(state-snapshot) -- derived from cfg, immutable
+    std::vector<unsigned> histLen;
+    State st;
 };
 
 } // namespace branch

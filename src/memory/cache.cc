@@ -13,7 +13,7 @@ Cache::Cache(const CacheConfig &config) : cfg(config)
     lvp_assert(num_blocks % cfg.assoc == 0, "bad geometry");
     numSets = num_blocks / cfg.assoc;
     lvp_assert(isPowerOf2(numSets), "sets not pow2");
-    lines.assign(num_blocks, Line{});
+    st.lines.assign(num_blocks, Line{});
 }
 
 bool
@@ -22,14 +22,14 @@ Cache::probe(Addr addr)
     const std::size_t s = setOf(addr);
     const Addr tag = tagOf(addr);
     for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Line &l = lines[s * cfg.assoc + w];
+        Line &l = st.lines[s * cfg.assoc + w];
         if (l.valid && l.tag == tag) {
-            l.lastUse = ++useClock;
-            ++numHits;
+            l.lastUse = ++st.useClock;
+            ++st.numHits;
             return true;
         }
     }
-    ++numMisses;
+    ++st.numMisses;
     return false;
 }
 
@@ -39,7 +39,7 @@ Cache::contains(Addr addr) const
     const std::size_t s = setOf(addr);
     const Addr tag = tagOf(addr);
     for (unsigned w = 0; w < cfg.assoc; ++w) {
-        const Line &l = lines[s * cfg.assoc + w];
+        const Line &l = st.lines[s * cfg.assoc + w];
         if (l.valid && l.tag == tag)
             return true;
     }
@@ -55,11 +55,11 @@ Cache::fill(Addr addr, bool dirty, bool *writeback)
     const Addr tag = tagOf(addr);
     Line *victim = nullptr;
     for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Line &l = lines[s * cfg.assoc + w];
+        Line &l = st.lines[s * cfg.assoc + w];
         if (l.valid && l.tag == tag) {
             // Already present (e.g. racing prefetch); just update.
             l.dirty = l.dirty || dirty;
-            l.lastUse = ++useClock;
+            l.lastUse = ++st.useClock;
             return 0;
         }
         if (!l.valid) {
@@ -79,7 +79,7 @@ Cache::fill(Addr addr, bool dirty, bool *writeback)
     victim->valid = true;
     victim->dirty = dirty;
     victim->tag = tag;
-    victim->lastUse = ++useClock;
+    victim->lastUse = ++st.useClock;
     return evicted;
 }
 
@@ -89,7 +89,7 @@ Cache::setDirty(Addr addr)
     const std::size_t s = setOf(addr);
     const Addr tag = tagOf(addr);
     for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Line &l = lines[s * cfg.assoc + w];
+        Line &l = st.lines[s * cfg.assoc + w];
         if (l.valid && l.tag == tag) {
             l.dirty = true;
             return;
@@ -103,7 +103,7 @@ Cache::invalidate(Addr addr)
     const std::size_t s = setOf(addr);
     const Addr tag = tagOf(addr);
     for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Line &l = lines[s * cfg.assoc + w];
+        Line &l = st.lines[s * cfg.assoc + w];
         if (l.valid && l.tag == tag) {
             l = Line{};
             return;

@@ -60,8 +60,8 @@ class Cache
     const CacheConfig &config() const { return cfg; }
     Cycle latency() const { return cfg.accessLatency; }
 
-    std::uint64_t hits() const { return numHits; }
-    std::uint64_t misses() const { return numMisses; }
+    std::uint64_t hits() const { return st.numHits; }
+    std::uint64_t misses() const { return st.numMisses; }
 
   private:
     struct Line
@@ -70,8 +70,36 @@ class Cache
         bool dirty = false;
         Addr tag = 0;
         std::uint64_t lastUse = 0;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(valid, dirty, tag, lastUse);
+        }
     };
 
+  public:
+    /** Mutable state only; geometry comes from the owning config. */
+    struct State
+    {
+        std::vector<Line> lines;
+        std::uint64_t useClock = 0;
+        std::uint64_t numHits = 0;
+        std::uint64_t numMisses = 0;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(lines, useClock, numHits, numMisses);
+        }
+    };
+
+    void saveState(State &s) const { s = st; }
+    void restoreState(const State &s) { st = s; }
+
+  private:
     Addr blockAddr(Addr a) const { return a & ~Addr(cfg.blockSize - 1); }
     std::size_t setOf(Addr a) const
     {
@@ -85,38 +113,7 @@ class Cache
     unsigned blockShift;
     // lvplint: allow(state-snapshot) -- derived from cfg, immutable
     std::size_t numSets;
-    std::vector<Line> lines;
-    std::uint64_t useClock = 0;
-    std::uint64_t numHits = 0;
-    std::uint64_t numMisses = 0;
-
-  public:
-    /** Mutable state only; geometry comes from the owning config. */
-    struct Snapshot
-    {
-        std::vector<Line> lines;
-        std::uint64_t useClock = 0;
-        std::uint64_t numHits = 0;
-        std::uint64_t numMisses = 0;
-    };
-
-    void
-    saveState(Snapshot &s) const
-    {
-        s.lines = lines;
-        s.useClock = useClock;
-        s.numHits = numHits;
-        s.numMisses = numMisses;
-    }
-
-    void
-    restoreState(const Snapshot &s)
-    {
-        lines = s.lines;
-        useClock = s.useClock;
-        numHits = s.numHits;
-        numMisses = s.numMisses;
-    }
+    State st;
 };
 
 } // namespace mem

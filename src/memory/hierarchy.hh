@@ -75,12 +75,19 @@ class MemoryHierarchy
     /** Aggregate of every component's mutable state. */
     struct Snapshot
     {
-        Cache::Snapshot icache;
-        Cache::Snapshot dcache;
-        Cache::Snapshot l2cache;
-        Cache::Snapshot l3cache;
-        Tlb::Snapshot dtlb;
-        StridePrefetcher::Snapshot pf;
+        Cache::State icache;
+        Cache::State dcache;
+        Cache::State l2cache;
+        Cache::State l3cache;
+        Tlb::State dtlb;
+        StridePrefetcher::State pf;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(icache, dcache, l2cache, l3cache, dtlb, pf);
+        }
     };
 
     void

@@ -24,61 +24,57 @@ class MemDepPredictor
   public:
     explicit MemDepPredictor(std::size_t entries = 1024,
                              std::uint64_t clear_interval = 32768)
-        : waitBits(entries, false), clearInterval(clear_interval)
+        : st{.waitBits = std::vector<bool>(entries, false)},
+          clearInterval(clear_interval)
     {}
 
     /** Should this load wait for older stores? */
     bool
     shouldWait(Addr pc)
     {
-        if (++accesses % clearInterval == 0)
-            std::fill(waitBits.begin(), waitBits.end(), false);
-        return waitBits[index(pc)];
+        if (++st.accesses % clearInterval == 0)
+            std::fill(st.waitBits.begin(), st.waitBits.end(), false);
+        return st.waitBits[index(pc)];
     }
 
     /** A speculating load was hit by an older store: train to wait. */
     void
     recordViolation(Addr pc)
     {
-        waitBits[index(pc)] = true;
-        ++numViolations;
+        st.waitBits[index(pc)] = true;
+        ++st.numViolations;
     }
 
-    std::uint64_t violations() const { return numViolations; }
+    std::uint64_t violations() const { return st.numViolations; }
 
-  private:
-    std::size_t index(Addr pc) const { return (pc >> 2) % waitBits.size(); }
-
-    std::vector<bool> waitBits;
-    // lvplint: allow(state-snapshot) -- construction-time config
-    std::uint64_t clearInterval;
-    std::uint64_t accesses = 0;
-    std::uint64_t numViolations = 0;
-
-  public:
     /** Mutable state only; clear interval comes from the constructor. */
-    struct Snapshot
+    struct State
     {
         std::vector<bool> waitBits;
         std::uint64_t accesses = 0;
         std::uint64_t numViolations = 0;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(waitBits, accesses, numViolations);
+        }
     };
 
-    void
-    saveState(Snapshot &s) const
+    void saveState(State &s) const { s = st; }
+    void restoreState(const State &s) { st = s; }
+
+  private:
+    std::size_t
+    index(Addr pc) const
     {
-        s.waitBits = waitBits;
-        s.accesses = accesses;
-        s.numViolations = numViolations;
+        return (pc >> 2) % st.waitBits.size();
     }
 
-    void
-    restoreState(const Snapshot &s)
-    {
-        waitBits = s.waitBits;
-        accesses = s.accesses;
-        numViolations = s.numViolations;
-    }
+    State st;
+    // lvplint: allow(state-snapshot) -- construction-time config
+    std::uint64_t clearInterval;
 };
 
 } // namespace mem

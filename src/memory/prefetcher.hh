@@ -23,7 +23,7 @@ class StridePrefetcher
   public:
     explicit StridePrefetcher(std::size_t entries = 64,
                               unsigned degree = 2)
-        : table(entries), prefetchDegree(degree)
+        : st{.table = std::vector<Entry>(entries)}, prefetchDegree(degree)
     {}
 
     /**
@@ -34,7 +34,7 @@ class StridePrefetcher
     observe(Addr pc, Addr addr, std::vector<Addr> &out)
     {
         out.clear();
-        Entry &e = table[(pc >> 2) % table.size()];
+        Entry &e = st.table[(pc >> 2) % st.table.size()];
         const std::uint16_t tag = std::uint16_t((pc >> 2) & 0x3ff);
         if (!e.valid || e.tag != tag) {
             e.valid = true;
@@ -61,8 +61,8 @@ class StridePrefetcher
         }
     }
 
-    std::uint64_t issued() const { return numIssued; }
-    void countIssued(std::uint64_t n) { numIssued += n; }
+    std::uint64_t issued() const { return st.numIssued; }
+    void countIssued(std::uint64_t n) { st.numIssued += n; }
 
   private:
     struct Entry
@@ -72,34 +72,37 @@ class StridePrefetcher
         Addr lastAddr = 0;
         std::int64_t stride = 0;
         std::uint8_t conf = 0;
-    };
 
-    std::vector<Entry> table;
-    // lvplint: allow(state-snapshot) -- construction-time config
-    unsigned prefetchDegree;
-    std::uint64_t numIssued = 0;
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(valid, tag, lastAddr, stride, conf);
+        }
+    };
 
   public:
     /** Mutable state only; degree comes from the constructor. */
-    struct Snapshot
+    struct State
     {
         std::vector<Entry> table;
         std::uint64_t numIssued = 0;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(table, numIssued);
+        }
     };
 
-    void
-    saveState(Snapshot &s) const
-    {
-        s.table = table;
-        s.numIssued = numIssued;
-    }
+    void saveState(State &s) const { s = st; }
+    void restoreState(const State &s) { st = s; }
 
-    void
-    restoreState(const Snapshot &s)
-    {
-        table = s.table;
-        numIssued = s.numIssued;
-    }
+  private:
+    State st;
+    // lvplint: allow(state-snapshot) -- construction-time config
+    unsigned prefetchDegree;
 };
 
 } // namespace mem

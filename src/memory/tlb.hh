@@ -22,9 +22,9 @@ class Tlb
   public:
     explicit Tlb(std::size_t entries = 512, unsigned assoc = 8,
                  unsigned page_shift = 12, Cycle walk_latency = 20)
-        : numSets(entries / assoc), numWays(assoc),
-          pageShift(page_shift), walkLat(walk_latency),
-          sets(entries)
+        : st{.sets = std::vector<Way>(entries)},
+          numSets(entries / assoc), numWays(assoc),
+          pageShift(page_shift), walkLat(walk_latency)
     {}
 
     /** Touch the page of @p addr; returns extra latency (0 on hit). */
@@ -34,17 +34,17 @@ class Tlb
         const Addr vpn = addr >> pageShift;
         const std::size_t s = vpn & (numSets - 1);
         for (unsigned w = 0; w < numWays; ++w) {
-            Way &e = sets[s * numWays + w];
+            Way &e = st.sets[s * numWays + w];
             if (e.valid && e.vpn == vpn) {
-                e.lastUse = ++useClock;
-                ++numHits;
+                e.lastUse = ++st.useClock;
+                ++st.numHits;
                 return 0;
             }
         }
-        ++numMisses;
-        Way *victim = &sets[s * numWays];
+        ++st.numMisses;
+        Way *victim = &st.sets[s * numWays];
         for (unsigned w = 0; w < numWays; ++w) {
-            Way &e = sets[s * numWays + w];
+            Way &e = st.sets[s * numWays + w];
             if (!e.valid) {
                 victim = &e;
                 break;
@@ -54,12 +54,12 @@ class Tlb
         }
         victim->valid = true;
         victim->vpn = vpn;
-        victim->lastUse = ++useClock;
+        victim->lastUse = ++st.useClock;
         return walkLat;
     }
 
-    std::uint64_t hits() const { return numHits; }
-    std::uint64_t misses() const { return numMisses; }
+    std::uint64_t hits() const { return st.numHits; }
+    std::uint64_t misses() const { return st.numMisses; }
 
   private:
     struct Way
@@ -67,8 +67,37 @@ class Tlb
         bool valid = false;
         Addr vpn = 0;
         std::uint64_t lastUse = 0;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(valid, vpn, lastUse);
+        }
     };
 
+  public:
+    /** Mutable state only; geometry comes from the constructor. */
+    struct State
+    {
+        std::vector<Way> sets;
+        std::uint64_t useClock = 0;
+        std::uint64_t numHits = 0;
+        std::uint64_t numMisses = 0;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(sets, useClock, numHits, numMisses);
+        }
+    };
+
+    void saveState(State &s) const { s = st; }
+    void restoreState(const State &s) { st = s; }
+
+  private:
+    State st;
     // lvplint: allow(state-snapshot) -- construction-time geometry
     std::size_t numSets;
     // lvplint: allow(state-snapshot) -- construction-time geometry
@@ -77,38 +106,6 @@ class Tlb
     unsigned pageShift;
     // lvplint: allow(state-snapshot) -- construction-time latency
     Cycle walkLat;
-    std::vector<Way> sets;
-    std::uint64_t useClock = 0;
-    std::uint64_t numHits = 0;
-    std::uint64_t numMisses = 0;
-
-  public:
-    /** Mutable state only; geometry comes from the constructor. */
-    struct Snapshot
-    {
-        std::vector<Way> sets;
-        std::uint64_t useClock = 0;
-        std::uint64_t numHits = 0;
-        std::uint64_t numMisses = 0;
-    };
-
-    void
-    saveState(Snapshot &s) const
-    {
-        s.sets = sets;
-        s.useClock = useClock;
-        s.numHits = numHits;
-        s.numMisses = numMisses;
-    }
-
-    void
-    restoreState(const Snapshot &s)
-    {
-        sets = s.sets;
-        useClock = s.useClock;
-        numHits = s.numHits;
-        numMisses = s.numMisses;
-    }
 };
 
 } // namespace mem

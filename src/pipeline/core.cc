@@ -22,16 +22,16 @@ Core::Core(const CoreConfig &config,
       tage(cfg.tage, cfg.seed ^ 0x7a9e),
       ittage(cfg.ittage, cfg.seed ^ 0x177a9e), ras(cfg.rasDepth)
 {
-    rob.configure(cfg.robSize);
-    fetchBuf.configure(2 * cfg.fetchWidth);
-    paq.configure(cfg.paqSize);
-    ldq.configure(cfg.ldqSize);
-    stq.configure(cfg.stqSize);
+    st.rob.configure(cfg.robSize);
+    st.fetchBuf.configure(2 * cfg.fetchWidth);
+    st.paq.configure(cfg.paqSize);
+    st.ldq.configure(cfg.ldqSize);
+    st.stq.configure(cfg.stqSize);
     // Both maps are bounded by the in-flight window (the stash only
     // ever holds trace indices that are still ahead of fetchIdx, see
     // squashYoungerThan); pre-sizing makes them allocation-free.
-    inflightLoadPcs.reserve(inflightWindow());
-    refetchStash.reserve(inflightWindow());
+    st.inflightLoadPcs.reserve(inflightWindow());
+    st.refetchStash.reserve(inflightWindow());
 }
 
 std::size_t
@@ -43,40 +43,40 @@ Core::robIndexOfSeq(InstSeqNum seq) const
     // slot directly (an O(1) hit whenever no squash gap sits below
     // it), else bisect the prefix to its left.
     constexpr std::size_t npos = ~std::size_t(0);
-    if (rob.empty())
+    if (st.rob.empty())
         return npos;
-    const InstSeqNum front_seq = rob.front().seq;
-    if (seq < front_seq || seq > rob.back().seq)
+    const InstSeqNum front_seq = st.rob.front().seq;
+    if (seq < front_seq || seq > st.rob.back().seq)
         return npos;
     std::size_t hi = std::size_t(seq - front_seq);
-    if (hi >= rob.size())
-        hi = rob.size() - 1;
-    if (rob[hi].seq == seq)
+    if (hi >= st.rob.size())
+        hi = st.rob.size() - 1;
+    if (st.rob[hi].seq == seq)
         return hi;
     // rob[hi].seq > seq here, so the match (if any) is in [0, hi).
     std::size_t lo = 0;
     while (lo < hi) {
         const std::size_t mid = lo + (hi - lo) / 2;
-        if (rob[mid].seq < seq)
+        if (st.rob[mid].seq < seq)
             lo = mid + 1;
         else
             hi = mid;
     }
-    return rob[lo].seq == seq ? lo : npos;
+    return st.rob[lo].seq == seq ? lo : npos;
 }
 
 Core::Inflight *
 Core::findBySeq(InstSeqNum seq)
 {
     const std::size_t i = robIndexOfSeq(seq);
-    return i == ~std::size_t(0) ? nullptr : &rob[i];
+    return i == ~std::size_t(0) ? nullptr : &st.rob[i];
 }
 
 const Core::Inflight *
 Core::findBySeqConst(InstSeqNum seq) const
 {
     const std::size_t i = robIndexOfSeq(seq);
-    return i == ~std::size_t(0) ? nullptr : &rob[i];
+    return i == ~std::size_t(0) ? nullptr : &st.rob[i];
 }
 
 bool
@@ -94,9 +94,9 @@ Core::depsReady(Inflight &f) const
             continue; // producer committed (or squashed): ready
         // A value-predicted load's result is available through the
         // VPE from vpReadyCycle, even before the load executes.
-        if (p->vpDelivered && p->vpReadyCycle <= now)
+        if (p->vpDelivered && p->vpReadyCycle <= st.now)
             continue;
-        if (p->done && p->doneCycle <= now)
+        if (p->done && p->doneCycle <= st.now)
             continue;
         Cycle cand;
         if (p->vpDelivered) {
@@ -104,11 +104,11 @@ Core::depsReady(Inflight &f) const
             if (p->issued)
                 cand = std::min(cand, p->doneCycle);
         } else if (p->paqPending) {
-            cand = now + 1; // a PAQ probe may deliver any cycle
+            cand = st.now + 1; // a PAQ probe may deliver any cycle
         } else if (p->issued) {
             cand = p->doneCycle;
         } else {
-            cand = now + 1; // producer not yet issued: unknown
+            cand = st.now + 1; // producer not yet issued: unknown
         }
         wake = std::max(wake, cand);
     }
@@ -147,39 +147,39 @@ bool
 Core::commitStage()
 {
     unsigned n = 0;
-    while (!rob.empty() && n < cfg.retireWidth) {
-        Inflight &f = rob.front();
-        if (!f.done || f.doneCycle > now)
+    while (!st.rob.empty() && n < cfg.retireWidth) {
+        Inflight &f = st.rob.front();
+        if (!f.done || f.doneCycle > st.now)
             break;
         const MicroOp &op = opOf(f);
 
-        ++stats.instructions;
+        ++st.stats.instructions;
         if (op.isLoad()) {
-            ++stats.loads;
-            lvp_assert(!ldq.empty() && ldq.front().seq == f.seq,
+            ++st.stats.loads;
+            lvp_assert(!st.ldq.empty() && st.ldq.front().seq == f.seq,
                        "LDQ out of sync");
-            ldq.pop_front();
+            st.ldq.pop_front();
             if (f.speculativeLoad)
-                --specLoadsInFlight;
-            auto it = inflightLoadPcs.find(op.pc);
-            if (it != inflightLoadPcs.end() && --it->second == 0)
-                inflightLoadPcs.erase(it);
+                --st.specLoadsInFlight;
+            auto it = st.inflightLoadPcs.find(op.pc);
+            if (it != st.inflightLoadPcs.end() && --it->second == 0)
+                st.inflightLoadPcs.erase(it);
             if (op.isPredictableLoad()) {
-                ++stats.eligibleLoads;
+                ++st.stats.eligibleLoads;
                 const bool used =
                     f.vpDelivered && f.vpReadyCycle <= f.doneCycle;
                 if (used) {
-                    ++stats.predictionsUsed;
+                    ++st.stats.predictionsUsed;
                     const auto c = std::size_t(f.pred.component);
                     if (f.vpWrong) {
-                        ++stats.predictionsWrong;
-                        if (c < stats.wrongByComponent.size())
-                            ++stats.wrongByComponent[c];
+                        ++st.stats.predictionsWrong;
+                        if (c < st.stats.wrongByComponent.size())
+                            ++st.stats.wrongByComponent[c];
                     } else {
-                        ++stats.predictionsCorrect;
+                        ++st.stats.predictionsCorrect;
                     }
-                    if (c < stats.usedByComponent.size())
-                        ++stats.usedByComponent[c];
+                    if (c < st.stats.usedByComponent.size())
+                        ++st.stats.usedByComponent[c];
                 }
                 LoadOutcome out;
                 out.pc = op.pc;
@@ -189,18 +189,18 @@ Core::commitStage()
                 out.value = op.memValue;
                 out.predictionUsed = used;
                 out.predictionCorrect = used && !f.vpWrong;
-                if (vpActive)
+                if (st.vpActive)
                     vp->train(out);
             } else if (f.token != 0) {
                 vp->abandon(f.token);
             }
         } else if (op.isStore()) {
-            ++stats.stores;
-            lvp_assert(!stq.empty() && stq.front().seq == f.seq,
+            ++st.stats.stores;
+            lvp_assert(!st.stq.empty() && st.stq.front().seq == f.seq,
                        "STQ out of sync");
-            stq.pop_front();
+            st.stq.pop_front();
         } else if (op.isBranch()) {
-            ++stats.branches;
+            ++st.stats.branches;
         }
         if (commitHook) {
             CommitRecord rec;
@@ -212,11 +212,11 @@ Core::commitStage()
             rec.value = op.memValue;
             commitHook(rec);
         }
-        rob.pop_front();
-        ++committed;
+        st.rob.pop_front();
+        ++st.committed;
         ++n;
     }
-    if (n > 0 && vpActive)
+    if (n > 0 && st.vpActive)
         vp->onRetire(n);
     return n > 0;
 }
@@ -235,31 +235,31 @@ Core::validateLoad(Inflight &f)
         return;
     if (!f.vpWrong)
         return;
-    ++stats.vpFlushes;
+    ++st.stats.vpFlushes;
     // Flush everything younger; refetch from the next instruction.
     squashYoungerThan(f.seq + 1, f.traceIdx + 1);
-    fetchResumeCycle = std::max(fetchResumeCycle, f.doneCycle + 1);
+    st.fetchResumeCycle = std::max(st.fetchResumeCycle, f.doneCycle + 1);
 }
 
 bool
 Core::completeStage()
 {
-    if (issuedNotDone == 0)
+    if (st.issuedNotDone == 0)
         return false;
     bool any = false;
-    for (std::size_t i = 0; i < rob.size(); ++i) {
-        Inflight &f = rob[i];
-        if (!f.issued || f.done || f.doneCycle > now)
+    for (std::size_t i = 0; i < st.rob.size(); ++i) {
+        Inflight &f = st.rob[i];
+        if (!f.issued || f.done || f.doneCycle > st.now)
             continue;
         f.done = true;
-        --issuedNotDone;
+        --st.issuedNotDone;
         any = true;
         const MicroOp &op = opOf(f);
 
         if (f.branchMispredicted) {
             // The front end may resume along the correct path.
-            fetchHalted = false;
-            fetchResumeCycle = std::max(fetchResumeCycle, now + 1);
+            st.fetchHalted = false;
+            st.fetchResumeCycle = std::max(st.fetchResumeCycle, st.now + 1);
         }
         if (op.isLoad()) {
             f.paqPending = false; // probe is useless after execute
@@ -279,16 +279,16 @@ Core::issueStage(unsigned &ls_used)
     unsigned issued_count = 0;
     unsigned alu_used = 0;
     ls_used = 0;
-    if (iqCount == 0)
+    if (st.iqCount == 0)
         return false;
 
     const unsigned alu_lanes = cfg.issueWidth - cfg.lsLanes;
 
     for (std::size_t i = 0;
-         i < rob.size() && issued_count < cfg.issueWidth; ++i) {
-        Inflight &f = rob[i];
-        if (!f.inIQ || now < f.minIssueCycle ||
-            now < f.sleepUntil)
+         i < st.rob.size() && issued_count < cfg.issueWidth; ++i) {
+        Inflight &f = st.rob[i];
+        if (!f.inIQ || st.now < f.minIssueCycle ||
+            st.now < f.sleepUntil)
             continue;
         const MicroOp &op = opOf(f);
         const bool is_ls = op.isLoad() || op.isStore();
@@ -298,7 +298,7 @@ Core::issueStage(unsigned &ls_used)
             continue;
         if (!depsReady(f))
             continue;
-        if (op.cls == OpClass::Barrier && f.seq != rob.front().seq)
+        if (op.cls == OpClass::Barrier && f.seq != st.rob.front().seq)
             continue; // barriers issue only when oldest
 
         Cycle lat = execLatency(f);
@@ -308,7 +308,7 @@ Core::issueStage(unsigned &ls_used)
             // (addresses are perfectly known; the *policy* is governed
             // by the memory dependence predictor).
             const MemQEntry *conflict = nullptr;
-            for (auto it = stq.rbegin(); it != stq.rend(); ++it) {
+            for (auto it = st.stq.rbegin(); it != st.stq.rend(); ++it) {
                 if (it->seq >= f.seq)
                     continue;
                 if (rangesOverlap(op.effAddr, op.memSize, it->addr,
@@ -318,13 +318,13 @@ Core::issueStage(unsigned &ls_used)
                 }
             }
             if (conflict) {
-                const Inflight *st = findBySeqConst(conflict->seq);
-                const bool resolved = st && st->issued;
+                const Inflight *store = findBySeqConst(conflict->seq);
+                const bool resolved = store && store->issued;
                 if (!resolved) {
                     if (memdep.shouldWait(op.pc))
                         continue; // hold the load in the IQ
                     f.speculativeLoad = true;
-                    ++specLoadsInFlight;
+                    ++st.specLoadsInFlight;
                     const auto res =
                         memory.dataAccess(op.pc, op.effAddr, false);
                     lat = 1 + res.latency;
@@ -342,9 +342,9 @@ Core::issueStage(unsigned &ls_used)
 
         f.inIQ = false;
         f.issued = true;
-        f.doneCycle = now + std::max<Cycle>(1, lat);
-        --iqCount;
-        ++issuedNotDone;
+        f.doneCycle = st.now + std::max<Cycle>(1, lat);
+        --st.iqCount;
+        ++st.issuedNotDone;
         ++issued_count;
         if (is_ls)
             ++ls_used;
@@ -365,25 +365,25 @@ Core::checkStoreOrderViolation(const Inflight &store)
     // replaying from the load itself. Only loads flagged speculative
     // at issue can violate, so the scan is skipped entirely while
     // none are in flight (the common case).
-    if (specLoadsInFlight == 0)
+    if (st.specLoadsInFlight == 0)
         return;
     const MicroOp &sop = opOf(store);
     // The LDQ is seq-sorted; start at the first younger load.
     auto it = std::lower_bound(
-        ldq.begin(), ldq.end(), store.seq,
+        st.ldq.begin(), st.ldq.end(), store.seq,
         [](const MemQEntry &e, InstSeqNum s) { return e.seq <= s; });
-    for (; it != ldq.end(); ++it) {
+    for (; it != st.ldq.end(); ++it) {
         const MemQEntry &e = *it;
         if (!rangesOverlap(e.addr, e.size, sop.effAddr, sop.memSize))
             continue;
         Inflight *ld = findBySeq(e.seq);
         if (!ld || !ld->issued || !ld->speculativeLoad)
             continue;
-        ++stats.memOrderFlushes;
+        ++st.stats.memOrderFlushes;
         memdep.recordViolation(opOf(*ld).pc);
         const std::uint64_t replay_idx = ld->traceIdx;
         squashYoungerThan(ld->seq, replay_idx);
-        fetchResumeCycle = std::max(fetchResumeCycle, now + 1);
+        st.fetchResumeCycle = std::max(st.fetchResumeCycle, st.now + 1);
         return;
     }
 }
@@ -398,21 +398,21 @@ Core::paqStage(unsigned ls_used)
     bool any = false;
     unsigned slots =
         cfg.lsLanes > ls_used ? cfg.lsLanes - ls_used : 0;
-    while (slots > 0 && !paq.empty()) {
-        const PaqEntry e = paq.front();
-        paq.pop_front();
+    while (slots > 0 && !st.paq.empty()) {
+        const PaqEntry e = st.paq.front();
+        st.paq.pop_front();
         --slots;
         Inflight *f = findBySeq(e.seq);
         if (!f || !f->paqPending || f->done)
             continue;
         f->paqPending = false;
-        ++stats.paqProbes;
+        ++st.stats.paqProbes;
         any = true;
         const auto res = memory.paqProbe(e.addr);
         if (!res.l1Hit) {
             // Paper Figure 1 step 5 (prefetch on miss) is disabled:
             // the prediction is simply dropped.
-            ++stats.paqMisses;
+            ++st.stats.paqMisses;
             continue;
         }
         const MicroOp &op = opOf(*f);
@@ -421,22 +421,22 @@ Core::paqStage(unsigned ls_used)
         // cache, the probe would return stale data - drop the
         // prediction rather than poison consumers.
         bool conflict = false;
-        for (auto it = stq.rbegin(); it != stq.rend(); ++it) {
+        for (auto it = st.stq.rbegin(); it != st.stq.rend(); ++it) {
             if (it->seq >= f->seq)
                 continue;
             if (!rangesOverlap(e.addr, op.memSize, it->addr,
                                it->size))
                 continue;
-            const Inflight *st = findBySeqConst(it->seq);
-            conflict = st && !st->issued;
+            const Inflight *store = findBySeqConst(it->seq);
+            conflict = store && !store->issued;
             break;
         }
         if (conflict) {
-            ++stats.paqConflictDrops;
+            ++st.stats.paqConflictDrops;
             continue;
         }
         f->vpDelivered = true;
-        f->vpReadyCycle = now + res.latency;
+        f->vpReadyCycle = st.now + res.latency;
         // The delivered value is wrong iff the predicted address was
         // wrong (validated when the load executes).
         f->vpWrong = e.addr != op.effAddr;
@@ -452,46 +452,46 @@ bool
 Core::dispatchStage()
 {
     unsigned n = 0;
-    while (!fetchBuf.empty() && n < cfg.fetchWidth) {
-        Inflight &f = fetchBuf.front();
-        if (f.fetchCycle >= now)
+    while (!st.fetchBuf.empty() && n < cfg.fetchWidth) {
+        Inflight &f = st.fetchBuf.front();
+        if (f.fetchCycle >= st.now)
             break; // fetched this cycle; dispatch next cycle
-        if (rob.size() >= cfg.robSize || iqCount >= cfg.iqSize)
+        if (st.rob.size() >= cfg.robSize || st.iqCount >= cfg.iqSize)
             break;
         const MicroOp &op = opOf(f);
-        if (op.isLoad() && ldq.size() >= cfg.ldqSize)
+        if (op.isLoad() && st.ldq.size() >= cfg.ldqSize)
             break;
-        if (op.isStore() && stq.size() >= cfg.stqSize)
+        if (op.isStore() && st.stq.size() >= cfg.stqSize)
             break;
 
         // Rename: resolve sources against the last writers.
         for (unsigned s = 0; s < f.depSeq.size(); ++s) {
             const RegId r = op.src[s];
-            f.depSeq[s] = (r == invalidReg) ? 0 : lastWriter[r];
+            f.depSeq[s] = (r == invalidReg) ? 0 : st.lastWriter[r];
         }
         if (op.dst != invalidReg)
-            lastWriter[op.dst] = f.seq;
+            st.lastWriter[op.dst] = f.seq;
 
         f.inIQ = true;
-        ++iqCount;
+        ++st.iqCount;
         if (op.isLoad())
-            ldq.push_back({f.seq, op.effAddr, op.memSize});
+            st.ldq.push_back({f.seq, op.effAddr, op.memSize});
         if (op.isStore())
-            stq.push_back({f.seq, op.effAddr, op.memSize});
+            st.stq.push_back({f.seq, op.effAddr, op.memSize});
 
         // Address predictions enter the PAQ here (paper step 2).
         if (f.pred.isAddress()) {
-            if (paq.size() < cfg.paqSize) {
+            if (st.paq.size() < cfg.paqSize) {
                 f.paqPending = true;
-                paq.push_back({f.seq, f.pred.addr});
+                st.paq.push_back({f.seq, f.pred.addr});
             } else {
-                ++stats.paqDropsFull;
+                ++st.stats.paqDropsFull;
                 f.pred = Prediction{};
             }
         }
 
-        rob.push_back(f);
-        fetchBuf.pop_front();
+        st.rob.push_back(f);
+        st.fetchBuf.pop_front();
         ++n;
     }
     return n > 0;
@@ -504,13 +504,13 @@ Core::dispatchStage()
 void
 Core::fetchOne()
 {
-    const MicroOp &op = code[fetchIdx];
+    const MicroOp &op = code[st.fetchIdx];
     Inflight f;
-    f.traceIdx = std::uint32_t(fetchIdx);
-    f.seq = nextSeq++;
-    f.fetchCycle = now;
-    f.minIssueCycle = now + cfg.fetchToExecute - 1;
-    const bool first_fetch = fetchIdx >= contextIdx;
+    f.traceIdx = std::uint32_t(st.fetchIdx);
+    f.seq = st.nextSeq++;
+    f.fetchCycle = st.now;
+    f.minIssueCycle = st.now + cfg.fetchToExecute - 1;
+    const bool first_fetch = st.fetchIdx >= st.contextIdx;
 
     if (op.isBranch()) {
         bool mispredict = false;
@@ -543,62 +543,62 @@ Core::fetchOne()
               default:
                 break;
             }
-            if (vpActive)
+            if (st.vpActive)
                 vp->notifyBranch(op.pc, op.taken, op.target);
             if (mispredict)
-                ++stats.branchMispredicts;
+                ++st.stats.branchMispredicts;
         }
         f.branchMispredicted = mispredict;
         if (mispredict)
-            fetchHalted = true;
-    } else if (op.isPredictableLoad() && vpActive) {
+            st.fetchHalted = true;
+    } else if (op.isPredictableLoad() && st.vpActive) {
         // During warmup (vpActive == false) predictable loads behave
         // like plain loads: no probe, no token, no notifies — the VP
         // sees nothing until the measurement region begins.
-        auto stash = refetchStash.find(fetchIdx);
-        if (stash != refetchStash.end()) {
+        auto stash = st.refetchStash.find(st.fetchIdx);
+        if (stash != st.refetchStash.end()) {
             // Re-fetch after a flush: restore the first-fetch
             // prediction (history-checkpoint semantics).
             f.token = stash->second.token;
             f.pred = stash->second.pred;
-            refetchStash.erase(stash);
+            st.refetchStash.erase(stash);
         } else {
             LoadProbe probe;
             probe.pc = op.pc;
-            probe.token = nextToken++;
-            const auto it = inflightLoadPcs.find(op.pc);
+            probe.token = st.nextToken++;
+            const auto it = st.inflightLoadPcs.find(op.pc);
             probe.inflightSamePc =
-                it == inflightLoadPcs.end() ? 0 : it->second;
+                it == st.inflightLoadPcs.end() ? 0 : it->second;
             f.token = probe.token;
             f.pred = vp->predict(probe);
             if (f.pred.valid())
-                ++stats.predictionsMade;
+                ++st.stats.predictionsMade;
         }
         if (f.pred.isValue()) {
             f.vpDelivered = true;
-            f.vpReadyCycle = now; // available from rename onward
+            f.vpReadyCycle = st.now; // available from rename onward
             f.vpWrong = f.pred.value != op.memValue;
         }
         if (first_fetch)
             vp->notifyLoad(op.pc);
     }
     if (op.isLoad())
-        ++inflightLoadPcs[op.pc];
+        ++st.inflightLoadPcs[op.pc];
 
     if (first_fetch)
-        contextIdx = fetchIdx + 1;
-    ++fetchIdx;
-    fetchBuf.push_back(f);
+        st.contextIdx = st.fetchIdx + 1;
+    ++st.fetchIdx;
+    st.fetchBuf.push_back(f);
 }
 
 bool
 Core::fetchStage()
 {
-    if (now < fetchResumeCycle || fetchHalted || fetchFrozen)
+    if (st.now < st.fetchResumeCycle || st.fetchHalted || st.fetchFrozen)
         return false;
     unsigned n = 0;
-    while (n < cfg.fetchWidth && fetchIdx < code.size() &&
-           fetchBuf.size() < 2 * cfg.fetchWidth && !fetchHalted) {
+    while (n < cfg.fetchWidth && st.fetchIdx < code.size() &&
+           st.fetchBuf.size() < 2 * cfg.fetchWidth && !st.fetchHalted) {
         fetchOne();
         ++n;
     }
@@ -616,9 +616,9 @@ Core::squashYoungerThan(InstSeqNum oldest_squashed,
     auto drop_load_bookkeeping = [&](const Inflight &f) {
         const MicroOp &op = opOf(f);
         if (op.isLoad()) {
-            auto it = inflightLoadPcs.find(op.pc);
-            if (it != inflightLoadPcs.end() && --it->second == 0)
-                inflightLoadPcs.erase(it);
+            auto it = st.inflightLoadPcs.find(op.pc);
+            if (it != st.inflightLoadPcs.end() && --it->second == 0)
+                st.inflightLoadPcs.erase(it);
             if (f.token != 0) {
                 // Keep the predictor's per-token state alive when the
                 // re-fetched load would predict the same thing: real
@@ -632,52 +632,52 @@ Core::squashYoungerThan(InstSeqNum oldest_squashed,
                      f.pred.value != op.memValue) ||
                     (f.pred.isAddress() &&
                      f.pred.addr != op.effAddr);
-                refetchStash[f.traceIdx] = {
+                st.refetchStash[f.traceIdx] = {
                     f.token, wrong ? Prediction{} : f.pred};
             }
         }
     };
 
-    while (!rob.empty() && rob.back().seq >= oldest_squashed) {
-        Inflight &f = rob.back();
+    while (!st.rob.empty() && st.rob.back().seq >= oldest_squashed) {
+        Inflight &f = st.rob.back();
         if (f.inIQ)
-            --iqCount;
+            --st.iqCount;
         if (f.issued && !f.done)
-            --issuedNotDone;
+            --st.issuedNotDone;
         if (f.speculativeLoad)
-            --specLoadsInFlight;
+            --st.specLoadsInFlight;
         drop_load_bookkeeping(f);
-        ++stats.squashedOps;
-        rob.pop_back();
+        ++st.stats.squashedOps;
+        st.rob.pop_back();
     }
-    while (!ldq.empty() && ldq.back().seq >= oldest_squashed)
-        ldq.pop_back();
-    while (!stq.empty() && stq.back().seq >= oldest_squashed)
-        stq.pop_back();
-    while (!fetchBuf.empty() &&
-           fetchBuf.back().seq >= oldest_squashed) {
-        drop_load_bookkeeping(fetchBuf.back());
-        ++stats.squashedOps;
-        fetchBuf.pop_back();
+    while (!st.ldq.empty() && st.ldq.back().seq >= oldest_squashed)
+        st.ldq.pop_back();
+    while (!st.stq.empty() && st.stq.back().seq >= oldest_squashed)
+        st.stq.pop_back();
+    while (!st.fetchBuf.empty() &&
+           st.fetchBuf.back().seq >= oldest_squashed) {
+        drop_load_bookkeeping(st.fetchBuf.back());
+        ++st.stats.squashedOps;
+        st.fetchBuf.pop_back();
     }
     // The PAQ is filled in dispatch order and drained at the front,
     // so it is always seq-sorted and the squashed entries are exactly
     // its tail.
-    while (!paq.empty() && paq.back().seq >= oldest_squashed)
-        paq.pop_back();
+    while (!st.paq.empty() && st.paq.back().seq >= oldest_squashed)
+        st.paq.pop_back();
 
-    if (refetchStash.size() > stats.refetchStashPeak)
-        stats.refetchStashPeak = refetchStash.size();
+    if (st.refetchStash.size() > st.stats.refetchStashPeak)
+        st.stats.refetchStashPeak = st.refetchStash.size();
 
     rebuildRenameMap();
-    fetchIdx = new_fetch_idx;
+    st.fetchIdx = new_fetch_idx;
 
     // If the mispredicted branch that halted fetch was squashed,
     // fetch may resume; recompute from the surviving window.
-    fetchHalted = false;
-    for (const Inflight &f : rob) {
+    st.fetchHalted = false;
+    for (const Inflight &f : st.rob) {
         if (f.branchMispredicted && !f.done) {
-            fetchHalted = true;
+            st.fetchHalted = true;
             break;
         }
     }
@@ -686,11 +686,11 @@ Core::squashYoungerThan(InstSeqNum oldest_squashed,
 void
 Core::rebuildRenameMap()
 {
-    lastWriter.fill(0);
-    for (const Inflight &f : rob) {
+    st.lastWriter.fill(0);
+    for (const Inflight &f : st.rob) {
         const MicroOp &op = opOf(f);
         if (op.dst != invalidReg)
-            lastWriter[op.dst] = f.seq;
+            st.lastWriter[op.dst] = f.seq;
     }
 }
 
@@ -704,37 +704,37 @@ Core::checkCycleInvariants() const
     // Occupancy bounds from the paper's Table III configuration.
     // These hold *every* cycle: dispatch is the only producer for
     // each structure and stalls when a queue is full.
-    LVPSIM_CHECK(rob.size() <= cfg.robSize,
-                 "ROB overflow: %zu > %u", rob.size(), cfg.robSize);
-    LVPSIM_CHECK(iqCount <= cfg.iqSize,
-                 "IQ overflow: %u > %u", iqCount, cfg.iqSize);
-    LVPSIM_CHECK(ldq.size() <= cfg.ldqSize,
-                 "LDQ overflow: %zu > %u", ldq.size(), cfg.ldqSize);
-    LVPSIM_CHECK(stq.size() <= cfg.stqSize,
-                 "STQ overflow: %zu > %u", stq.size(), cfg.stqSize);
-    LVPSIM_CHECK(paq.size() <= cfg.paqSize,
-                 "PAQ overflow: %zu > %u", paq.size(), cfg.paqSize);
-    LVPSIM_CHECK(fetchBuf.size() <= 2 * cfg.fetchWidth,
-                 "fetch buffer overflow: %zu > %u", fetchBuf.size(),
+    LVPSIM_CHECK(st.rob.size() <= cfg.robSize,
+                 "ROB overflow: %zu > %u", st.rob.size(), cfg.robSize);
+    LVPSIM_CHECK(st.iqCount <= cfg.iqSize,
+                 "IQ overflow: %u > %u", st.iqCount, cfg.iqSize);
+    LVPSIM_CHECK(st.ldq.size() <= cfg.ldqSize,
+                 "LDQ overflow: %zu > %u", st.ldq.size(), cfg.ldqSize);
+    LVPSIM_CHECK(st.stq.size() <= cfg.stqSize,
+                 "STQ overflow: %zu > %u", st.stq.size(), cfg.stqSize);
+    LVPSIM_CHECK(st.paq.size() <= cfg.paqSize,
+                 "PAQ overflow: %zu > %u", st.paq.size(), cfg.paqSize);
+    LVPSIM_CHECK(st.fetchBuf.size() <= 2 * cfg.fetchWidth,
+                 "fetch buffer overflow: %zu > %u", st.fetchBuf.size(),
                  2 * cfg.fetchWidth);
-    LVPSIM_CHECK(iqCount <= rob.size(),
-                 "IQ count %u exceeds ROB occupancy %zu", iqCount,
-                 rob.size());
-    LVPSIM_CHECK(issuedNotDone <= rob.size(),
+    LVPSIM_CHECK(st.iqCount <= st.rob.size(),
+                 "IQ count %u exceeds ROB occupancy %zu", st.iqCount,
+                 st.rob.size());
+    LVPSIM_CHECK(st.issuedNotDone <= st.rob.size(),
                  "issued-not-done %llu exceeds ROB occupancy %zu",
-                 static_cast<unsigned long long>(issuedNotDone),
-                 rob.size());
-    LVPSIM_CHECK(specLoadsInFlight <= ldq.size(),
+                 static_cast<unsigned long long>(st.issuedNotDone),
+                 st.rob.size());
+    LVPSIM_CHECK(st.specLoadsInFlight <= st.ldq.size(),
                  "speculative-load count %llu exceeds LDQ occupancy "
                  "%zu",
-                 static_cast<unsigned long long>(specLoadsInFlight),
-                 ldq.size());
+                 static_cast<unsigned long long>(st.specLoadsInFlight),
+                 st.ldq.size());
     // The refetch stash holds only trace indices ahead of fetchIdx
     // that were in flight when squashed, so it can never outgrow the
     // in-flight window.
-    LVPSIM_CHECK(refetchStash.size() <= inflightWindow(),
+    LVPSIM_CHECK(st.refetchStash.size() <= inflightWindow(),
                  "refetch stash overflow: %zu > %zu",
-                 refetchStash.size(), inflightWindow());
+                 st.refetchStash.size(), inflightWindow());
 }
 
 void
@@ -748,7 +748,7 @@ Core::checkFullInvariants() const
     std::uint64_t spec_loads = 0;
     std::size_t n_loads = 0, n_stores = 0;
     std::size_t live_tokens = 0;
-    for (const Inflight &f : rob) {
+    for (const Inflight &f : st.rob) {
         LVPSIM_CHECK(f.seq > prev, "ROB not in seq order");
         prev = f.seq;
         in_iq += f.inIQ ? 1 : 0;
@@ -762,36 +762,36 @@ Core::checkFullInvariants() const
         n_loads += op.isLoad() ? 1 : 0;
         n_stores += op.isStore() ? 1 : 0;
     }
-    for (const Inflight &f : fetchBuf)
+    for (const Inflight &f : st.fetchBuf)
         live_tokens += f.token != 0 ? 1 : 0;
-    LVPSIM_CHECK(in_iq == iqCount,
-                 "IQ count drift: cached %u, actual %u", iqCount,
+    LVPSIM_CHECK(in_iq == st.iqCount,
+                 "IQ count drift: cached %u, actual %u", st.iqCount,
                  in_iq);
-    LVPSIM_CHECK(issued_not_done == issuedNotDone,
+    LVPSIM_CHECK(issued_not_done == st.issuedNotDone,
                  "issuedNotDone drift: cached %llu, actual %llu",
-                 static_cast<unsigned long long>(issuedNotDone),
+                 static_cast<unsigned long long>(st.issuedNotDone),
                  static_cast<unsigned long long>(issued_not_done));
-    LVPSIM_CHECK(spec_loads == specLoadsInFlight,
+    LVPSIM_CHECK(spec_loads == st.specLoadsInFlight,
                  "specLoadsInFlight drift: cached %llu, actual %llu",
-                 static_cast<unsigned long long>(specLoadsInFlight),
+                 static_cast<unsigned long long>(st.specLoadsInFlight),
                  static_cast<unsigned long long>(spec_loads));
     // Every pending predictor snapshot belongs to a live token: one
     // held by an in-flight load, or one parked in the refetch stash.
     LVPSIM_CHECK(vp->pendingProbes() <=
-                     live_tokens + refetchStash.size(),
+                     live_tokens + st.refetchStash.size(),
                  "predictor snapshot leak: %zu pending, %zu live "
                  "tokens + %zu stashed",
                  vp->pendingProbes(), live_tokens,
-                 refetchStash.size());
+                 st.refetchStash.size());
     // Every ROB load/store has exactly one LDQ/STQ entry, in order.
-    LVPSIM_CHECK(ldq.size() == n_loads,
-                 "LDQ/ROB drift: %zu entries, %zu loads", ldq.size(),
+    LVPSIM_CHECK(st.ldq.size() == n_loads,
+                 "LDQ/ROB drift: %zu entries, %zu loads", st.ldq.size(),
                  n_loads);
-    LVPSIM_CHECK(stq.size() == n_stores,
+    LVPSIM_CHECK(st.stq.size() == n_stores,
                  "STQ/ROB drift: %zu entries, %zu stores",
-                 stq.size(), n_stores);
+                 st.stq.size(), n_stores);
     prev = 0;
-    for (const MemQEntry &e : ldq) {
+    for (const MemQEntry &e : st.ldq) {
         LVPSIM_CHECK(e.seq > prev, "LDQ not in seq order");
         prev = e.seq;
         LVPSIM_CHECK(findBySeqConst(e.seq) != nullptr,
@@ -799,7 +799,7 @@ Core::checkFullInvariants() const
                      static_cast<unsigned long long>(e.seq));
     }
     prev = 0;
-    for (const MemQEntry &e : stq) {
+    for (const MemQEntry &e : st.stq) {
         LVPSIM_CHECK(e.seq > prev, "STQ not in seq order");
         prev = e.seq;
         LVPSIM_CHECK(findBySeqConst(e.seq) != nullptr,
@@ -816,16 +816,16 @@ Cycle
 Core::nextEventCycle() const
 {
     Cycle next = std::numeric_limits<Cycle>::max();
-    for (const Inflight &f : rob) {
+    for (const Inflight &f : st.rob) {
         if (f.issued && !f.done)
             next = std::min(next, f.doneCycle);
         else if (f.inIQ)
             next = std::min(next, f.minIssueCycle);
     }
-    if (fetchResumeCycle > now &&
-        (fetchIdx < code.size() || !fetchBuf.empty()))
-        next = std::min(next, fetchResumeCycle);
-    for (const Inflight &f : fetchBuf)
+    if (st.fetchResumeCycle > st.now &&
+        (st.fetchIdx < code.size() || !st.fetchBuf.empty()))
+        next = std::min(next, st.fetchResumeCycle);
+    for (const Inflight &f : st.fetchBuf)
         next = std::min(next, f.fetchCycle + 1);
     return next;
 }
@@ -833,11 +833,11 @@ Core::nextEventCycle() const
 void
 Core::simulate(std::uint64_t commit_target)
 {
-    while ((!fetchFrozen && fetchIdx < code.size()) || !rob.empty() ||
-           !fetchBuf.empty()) {
-        if (commit_target && committed >= commit_target)
+    while ((!st.fetchFrozen && st.fetchIdx < code.size()) || !st.rob.empty() ||
+           !st.fetchBuf.empty()) {
+        if (commit_target && st.committed >= commit_target)
             break;
-        ++now;
+        ++st.now;
         bool any = false;
         any |= commitStage();
         any |= completeStage();
@@ -847,14 +847,14 @@ Core::simulate(std::uint64_t commit_target)
         any |= dispatchStage();
         any |= fetchStage();
 
-        if (committed >= nextProgressAt) {
-            progressHook(committed);
-            nextProgressAt = committed + progressEvery;
+        if (st.committed >= nextProgressAt) {
+            progressHook(st.committed);
+            nextProgressAt = st.committed + progressEvery;
         }
 
 #if LVPSIM_CHECKS_ENABLED
         checkCycleInvariants();
-        if (now % fullCheckPeriod == 0)
+        if (st.now % fullCheckPeriod == 0)
             checkFullInvariants();
 #endif
 
@@ -862,9 +862,9 @@ Core::simulate(std::uint64_t commit_target)
             const Cycle next = nextEventCycle();
             lvp_assert(next != std::numeric_limits<Cycle>::max(),
                        "pipeline deadlock at cycle %llu",
-                       static_cast<unsigned long long>(now));
-            if (next > now + 1)
-                now = next - 1; // the loop header will ++now
+                       static_cast<unsigned long long>(st.now));
+            if (next > st.now + 1)
+                st.now = next - 1; // the loop header will ++now
         }
     }
 }
@@ -874,29 +874,29 @@ Core::warmup(std::uint64_t n)
 {
     if (n == 0)
         return;
-    vpActive = false;
-    simulate(committed + n);
+    st.vpActive = false;
+    simulate(st.committed + n);
     // Drain: freeze fetch and run the in-flight window dry so the
     // measurement (or checkpoint) boundary is quiescent. A squash
     // during the drain may rewind fetchIdx; those instructions are
     // simply re-fetched once measurement resumes fetch.
-    fetchFrozen = true;
+    st.fetchFrozen = true;
     simulate(0);
-    fetchFrozen = false;
-    vpActive = true;
-    LVPSIM_CHECK(rob.empty() && fetchBuf.empty() &&
-                     refetchStash.empty(),
+    st.fetchFrozen = false;
+    st.vpActive = true;
+    LVPSIM_CHECK(st.rob.empty() && st.fetchBuf.empty() &&
+                     st.refetchStash.empty(),
                  "warmup drain left %zu ROB + %zu fetch-buffer + %zu "
                  "stashed entries",
-                 rob.size(), fetchBuf.size(), refetchStash.size());
+                 st.rob.size(), st.fetchBuf.size(), st.refetchStash.size());
 }
 
 void
 Core::drain()
 {
-    fetchFrozen = true;
+    st.fetchFrozen = true;
     simulate(0);
-    fetchFrozen = false;
+    st.fetchFrozen = false;
     // Squashes during the drain can park predictions (with live
     // predictor tokens) in the refetch stash; nothing will re-fetch
     // them on this core, so release their snapshots. Tokens are
@@ -904,29 +904,29 @@ Core::drain()
     // hash-shaped, and the predictor must see the same sequence on
     // every run.
     std::vector<std::uint64_t> stale;
-    stale.reserve(refetchStash.size());
-    for (const auto &kv : refetchStash)
+    stale.reserve(st.refetchStash.size());
+    for (const auto &kv : st.refetchStash)
         stale.push_back(kv.second.token);
     std::sort(stale.begin(), stale.end());
     for (std::uint64_t t : stale)
         vp->abandon(t);
-    refetchStash.clear();
-    LVPSIM_CHECK(rob.empty() && fetchBuf.empty() &&
+    st.refetchStash.clear();
+    LVPSIM_CHECK(st.rob.empty() && st.fetchBuf.empty() &&
                      vp->pendingProbes() == 0,
                  "drain left %zu ROB + %zu fetch-buffer entries, %zu "
                  "pending probes",
-                 rob.size(), fetchBuf.size(), vp->pendingProbes());
+                 st.rob.size(), st.fetchBuf.size(), vp->pendingProbes());
 }
 
 void
 Core::functionalWarmup(std::uint64_t n)
 {
-    lvp_assert(rob.empty() && fetchBuf.empty(),
+    lvp_assert(st.rob.empty() && st.fetchBuf.empty(),
                "functionalWarmup needs a quiescent machine");
     const std::uint64_t end =
-        std::min<std::uint64_t>(fetchIdx + n, code.size());
-    while (fetchIdx < end) {
-        const MicroOp &op = code[fetchIdx];
+        std::min<std::uint64_t>(st.fetchIdx + n, code.size());
+    while (st.fetchIdx < end) {
+        const MicroOp &op = code[st.fetchIdx];
         // Branch-predictor training replicates fetchOne()'s
         // first-fetch sequence exactly; with an empty pipeline every
         // index is a first fetch (fetchIdx >= contextIdx always).
@@ -959,12 +959,12 @@ Core::functionalWarmup(std::uint64_t n)
           default:
             break;
         }
-        contextIdx = fetchIdx + 1;
-        ++fetchIdx;
-        ++committed;
-        if (committed >= nextProgressAt) {
-            progressHook(committed);
-            nextProgressAt = committed + progressEvery;
+        st.contextIdx = st.fetchIdx + 1;
+        ++st.fetchIdx;
+        ++st.committed;
+        if (st.committed >= nextProgressAt) {
+            progressHook(st.committed);
+            nextProgressAt = st.committed + progressEvery;
         }
     }
 }
@@ -980,7 +980,7 @@ Core::setProgressHook(std::uint64_t every, ProgressHook fn)
     }
     progressHook = std::move(fn);
     progressEvery = every;
-    nextProgressAt = committed + every;
+    nextProgressAt = st.committed + every;
 }
 
 SimStats
@@ -988,28 +988,28 @@ Core::run(std::uint64_t max_instrs)
 {
     // Measure relative to the current (possibly post-warmup) state so
     // warmup cycles and misses never pollute the reported run.
-    stats = SimStats{};
+    st.stats = SimStats{};
     const std::uint64_t l1d_miss0 = memory.l1d().misses();
     const std::uint64_t l2_miss0 = memory.l2().misses();
-    const Cycle cycle0 = now;
+    const Cycle cycle0 = st.now;
 
-    simulate(max_instrs ? committed + max_instrs : 0);
+    simulate(max_instrs ? st.committed + max_instrs : 0);
 
-    stats.cycles = now - cycle0;
-    stats.l1dMisses = memory.l1d().misses() - l1d_miss0;
-    stats.l2Misses = memory.l2().misses() - l2_miss0;
-    if (refetchStash.size() > stats.refetchStashPeak)
-        stats.refetchStashPeak = refetchStash.size();
-    stats.vpSnapshotsPeak = vp->pendingProbesPeak();
+    st.stats.cycles = st.now - cycle0;
+    st.stats.l1dMisses = memory.l1d().misses() - l1d_miss0;
+    st.stats.l2Misses = memory.l2().misses() - l2_miss0;
+    if (st.refetchStash.size() > st.stats.refetchStashPeak)
+        st.stats.refetchStashPeak = st.refetchStash.size();
+    st.stats.vpSnapshotsPeak = vp->pendingProbesPeak();
     // At natural trace exhaustion every stashed prediction must have
     // been consumed by its re-fetch (the stash only holds indices
     // ahead of fetchIdx); an early max_instrs stop may leave some.
-    LVPSIM_CHECK(fetchIdx < code.size() || !rob.empty() ||
-                     !fetchBuf.empty() || refetchStash.empty(),
+    LVPSIM_CHECK(st.fetchIdx < code.size() || !st.rob.empty() ||
+                     !st.fetchBuf.empty() || st.refetchStash.empty(),
                  "refetch stash leak: %zu entries at trace "
                  "exhaustion",
-                 refetchStash.size());
-    return stats;
+                 st.refetchStash.size());
+    return st.stats;
 }
 
 void
@@ -1054,31 +1054,7 @@ Core::saveState(Snapshot &s) const
     tage.saveState(s.tage);
     ittage.saveState(s.ittage);
     ras.saveState(s.ras);
-
-    s.now = now;
-    s.fetchIdx = fetchIdx;
-    s.contextIdx = contextIdx;
-    s.fetchResumeCycle = fetchResumeCycle;
-    s.fetchHalted = fetchHalted;
-    s.fetchFrozen = fetchFrozen;
-    s.vpActive = vpActive;
-    s.nextSeq = nextSeq;
-    s.nextToken = nextToken;
-    s.committed = committed;
-    s.issuedNotDone = issuedNotDone;
-
-    s.rob = rob;
-    s.fetchBuf = fetchBuf;
-    s.paq = paq;
-    s.ldq = ldq;
-    s.stq = stq;
-    s.iqCount = iqCount;
-    s.specLoadsInFlight = specLoadsInFlight;
-    s.lastWriter = lastWriter;
-    s.inflightLoadPcs = inflightLoadPcs;
-    s.refetchStash = refetchStash;
-
-    s.stats = stats;
+    s.pipeline = st;
 }
 
 void
@@ -1089,31 +1065,7 @@ Core::restoreState(const Snapshot &s)
     tage.restoreState(s.tage);
     ittage.restoreState(s.ittage);
     ras.restoreState(s.ras);
-
-    now = s.now;
-    fetchIdx = s.fetchIdx;
-    contextIdx = s.contextIdx;
-    fetchResumeCycle = s.fetchResumeCycle;
-    fetchHalted = s.fetchHalted;
-    fetchFrozen = s.fetchFrozen;
-    vpActive = s.vpActive;
-    nextSeq = s.nextSeq;
-    nextToken = s.nextToken;
-    committed = s.committed;
-    issuedNotDone = s.issuedNotDone;
-
-    rob = s.rob;
-    fetchBuf = s.fetchBuf;
-    paq = s.paq;
-    ldq = s.ldq;
-    stq = s.stq;
-    iqCount = s.iqCount;
-    specLoadsInFlight = s.specLoadsInFlight;
-    lastWriter = s.lastWriter;
-    inflightLoadPcs = s.inflightLoadPcs;
-    refetchStash = s.refetchStash;
-
-    stats = s.stats;
+    st = s.pipeline;
 }
 
 } // namespace pipe

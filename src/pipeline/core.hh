@@ -178,12 +178,29 @@ class Core
         bool paqPending = false;
 
         bool speculativeLoad = false; ///< issued past unresolved store
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(traceIdx, seq, fetchCycle, minIssueCycle, doneCycle,
+              sleepUntil, inIQ, issued, done, depSeq, branchMispredicted,
+              pred, token, vpDelivered, vpReadyCycle, vpWrong, paqPending,
+              speculativeLoad);
+        }
     };
 
     struct PaqEntry
     {
         InstSeqNum seq = 0;
         Addr addr = 0;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(seq, addr);
+        }
     };
 
     /** LDQ/STQ bookkeeping record (addresses known from the trace). */
@@ -192,8 +209,117 @@ class Core
         InstSeqNum seq = 0;
         Addr addr = 0;
         unsigned size = 0;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(seq, addr, size);
+        }
     };
 
+    /**
+     * A squashed load's prediction, stashed by trace index. Real
+     * hardware checkpoints and restores the branch/path histories on
+     * a flush, so a re-fetched load sees the same context and gets
+     * the same prediction; we model that by reusing the first-fetch
+     * prediction (and its live predictor token) instead of re-probing
+     * with a polluted history.
+     */
+    struct StashedPrediction
+    {
+        std::uint64_t token = 0;
+        Prediction pred{};
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(token, pred);
+        }
+    };
+
+  public:
+    /**
+     * The core's own mutable state: fetch position, queues, rename
+     * map and statistics. The substrate's state lives in its parts.
+     */
+    struct State
+    {
+        Cycle now = 0;
+        std::uint64_t fetchIdx = 0;
+        std::uint64_t contextIdx = 0; ///< history advanced for idx < this
+        Cycle fetchResumeCycle = 0;
+        bool fetchHalted = false; ///< mispredicted branch in flight
+        bool fetchFrozen = false; ///< warmup drain: no new fetches
+        bool vpActive = true;     ///< false during the warmup region
+        InstSeqNum nextSeq = 1;
+        std::uint64_t nextToken = 1;
+        std::uint64_t committed = 0;
+        std::uint64_t issuedNotDone = 0;
+
+        // Pipeline queues: fixed-capacity rings sized from cfg in the
+        // constructor, so the steady-state cycle loop never allocates
+        // (see docs/performance.md).
+        RingBuffer<Inflight> rob;
+        RingBuffer<Inflight> fetchBuf;
+        RingBuffer<PaqEntry> paq;
+        RingBuffer<MemQEntry> ldq;
+        RingBuffer<MemQEntry> stq;
+        unsigned iqCount = 0;
+        /// Issued loads that speculated past an unresolved older
+        /// store and have not yet committed or squashed. Store issue
+        /// only needs to scan the LDQ for order violations while this
+        /// is non-zero.
+        std::uint64_t specLoadsInFlight = 0;
+        std::array<InstSeqNum, numArchRegs> lastWriter{};
+        FlatMap<Addr, unsigned> inflightLoadPcs;
+        /// Predictions of squashed loads, keyed by trace index.
+        FlatMap<std::uint64_t, StashedPrediction> refetchStash;
+
+        SimStats stats;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(now, fetchIdx, contextIdx, fetchResumeCycle, fetchHalted,
+              fetchFrozen, vpActive, nextSeq, nextToken, committed,
+              issuedNotDone, rob, fetchBuf, paq, ldq, stq, iqCount,
+              specLoadsInFlight, lastWriter, inflightLoadPcs,
+              refetchStash, stats);
+        }
+    };
+
+    /**
+     * The complete mutable state of the core and its substrate
+     * (memory hierarchy, branch predictors, queues, rename map,
+     * statistics). restoreState() into a core built with the *same*
+     * CoreConfig and trace resumes execution bit-identically; the
+     * attached value predictor is external wiring and is not part of
+     * the snapshot. See sim::SimCheckpoint.
+     */
+    struct Snapshot
+    {
+        mem::MemoryHierarchy::Snapshot memory;
+        mem::MemDepPredictor::State memdep;
+        branch::Tage::State tage;
+        branch::Ittage::State ittage;
+        branch::ReturnAddressStack::State ras;
+        State pipeline;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(memory, memdep, tage, ittage, ras, pipeline);
+        }
+    };
+
+    void saveState(Snapshot &s) const;
+    void restoreState(const Snapshot &s);
+
+  private:
     const trace::MicroOp &opOf(const Inflight &f) const
     {
         return code[f.traceIdx];
@@ -258,48 +384,7 @@ class Core
     branch::Ittage ittage;
     branch::ReturnAddressStack ras;
 
-    Cycle now = 0;
-    std::uint64_t fetchIdx = 0;
-    std::uint64_t contextIdx = 0; ///< history advanced for idx < this
-    Cycle fetchResumeCycle = 0;
-    bool fetchHalted = false; ///< mispredicted branch in flight
-    bool fetchFrozen = false; ///< warmup drain: no new fetches
-    bool vpActive = true;     ///< false during the warmup region
-    InstSeqNum nextSeq = 1;
-    std::uint64_t nextToken = 1;
-    std::uint64_t committed = 0;
-    std::uint64_t issuedNotDone = 0;
-
-    // Pipeline queues: fixed-capacity rings sized from cfg in the
-    // constructor, so the steady-state cycle loop never allocates
-    // (see docs/performance.md).
-    RingBuffer<Inflight> rob;
-    RingBuffer<Inflight> fetchBuf;
-    RingBuffer<PaqEntry> paq;
-    RingBuffer<MemQEntry> ldq;
-    RingBuffer<MemQEntry> stq;
-    unsigned iqCount = 0;
-    /// Issued loads that speculated past an unresolved older store
-    /// and have not yet committed or squashed. Store issue only needs
-    /// to scan the LDQ for order violations while this is non-zero.
-    std::uint64_t specLoadsInFlight = 0;
-    std::array<InstSeqNum, numArchRegs> lastWriter{};
-    FlatMap<Addr, unsigned> inflightLoadPcs;
-
-    /**
-     * Predictions of squashed loads, keyed by trace index. Real
-     * hardware checkpoints and restores the branch/path histories on
-     * a flush, so a re-fetched load sees the same context and gets
-     * the same prediction; we model that by reusing the first-fetch
-     * prediction (and its live predictor token) instead of re-probing
-     * with a polluted history.
-     */
-    struct StashedPrediction
-    {
-        std::uint64_t token = 0;
-        Prediction pred{};
-    };
-    FlatMap<std::uint64_t, StashedPrediction> refetchStash;
+    State st;
 
     /**
      * Upper bound on in-flight instructions (ROB plus fetch buffer):
@@ -325,54 +410,6 @@ class Core
     // setProgressHook after any restore.
     std::uint64_t nextProgressAt =
         std::numeric_limits<std::uint64_t>::max();
-
-    SimStats stats;
-
-  public:
-    /**
-     * The complete mutable state of the core and its substrate
-     * (memory hierarchy, branch predictors, queues, rename map,
-     * statistics). restoreState() into a core built with the *same*
-     * CoreConfig and trace resumes execution bit-identically; the
-     * attached value predictor is external wiring and is not part of
-     * the snapshot. See sim::SimCheckpoint.
-     */
-    struct Snapshot
-    {
-        mem::MemoryHierarchy::Snapshot memory;
-        mem::MemDepPredictor::Snapshot memdep;
-        branch::Tage::Snapshot tage;
-        branch::Ittage::Snapshot ittage;
-        branch::ReturnAddressStack::Snapshot ras;
-
-        Cycle now = 0;
-        std::uint64_t fetchIdx = 0;
-        std::uint64_t contextIdx = 0;
-        Cycle fetchResumeCycle = 0;
-        bool fetchHalted = false;
-        bool fetchFrozen = false;
-        bool vpActive = true;
-        InstSeqNum nextSeq = 1;
-        std::uint64_t nextToken = 1;
-        std::uint64_t committed = 0;
-        std::uint64_t issuedNotDone = 0;
-
-        RingBuffer<Inflight> rob;
-        RingBuffer<Inflight> fetchBuf;
-        RingBuffer<PaqEntry> paq;
-        RingBuffer<MemQEntry> ldq;
-        RingBuffer<MemQEntry> stq;
-        unsigned iqCount = 0;
-        std::uint64_t specLoadsInFlight = 0;
-        std::array<InstSeqNum, numArchRegs> lastWriter{};
-        FlatMap<Addr, unsigned> inflightLoadPcs;
-        FlatMap<std::uint64_t, StashedPrediction> refetchStash;
-
-        SimStats stats;
-    };
-
-    void saveState(Snapshot &s) const;
-    void restoreState(const Snapshot &s);
 };
 
 } // namespace pipe

@@ -2,9 +2,6 @@
 
 #include <iomanip>
 #include <string>
-#include <vector>
-
-#include "core/lvp_interface.hh"
 
 namespace lvpsim
 {
@@ -14,53 +11,22 @@ namespace pipe
 void
 SimStats::dump(std::ostream &os) const
 {
-    auto row = [&os](const char *name, std::uint64_t v) {
+    const auto row = [&os](std::string_view name, auto v) {
         os << "  " << std::left << std::setw(26) << name << std::right
            << std::setw(14) << v << "\n";
     };
     os << std::fixed << std::setprecision(4);
-    row("cycles", cycles);
-    row("instructions", instructions);
-    os << "  " << std::left << std::setw(26) << "ipc" << std::right
-       << std::setw(14) << ipc() << "\n";
-    row("loads", loads);
-    row("eligible_loads", eligibleLoads);
-    row("stores", stores);
-    row("branches", branches);
-    row("branch_mispredicts", branchMispredicts);
-    row("predictions_made", predictionsMade);
-    row("predictions_used", predictionsUsed);
-    row("predictions_correct", predictionsCorrect);
-    row("predictions_wrong", predictionsWrong);
-    os << "  " << std::left << std::setw(26) << "coverage"
-       << std::right << std::setw(14) << coverage() << "\n";
-    os << "  " << std::left << std::setw(26) << "accuracy"
-       << std::right << std::setw(14) << accuracy() << "\n";
-    row("paq_probes", paqProbes);
-    row("paq_misses", paqMisses);
-    row("paq_drops_full", paqDropsFull);
-    row("paq_conflict_drops", paqConflictDrops);
-    row("vp_flushes", vpFlushes);
-    row("mem_order_flushes", memOrderFlushes);
-    row("squashed_ops", squashedOps);
-    row("refetch_stash_peak", refetchStashPeak);
-    row("vp_snapshots_peak", vpSnapshotsPeak);
-    row("l1d_misses", l1dMisses);
-    row("l2_misses", l2Misses);
-    for (std::size_t c = 0; c < usedByComponent.size(); ++c) {
-        if (usedByComponent[c] == 0)
-            continue;
-        os << "  used_by[" << componentName(ComponentId(c))
-           << "]" << std::setw(24) << usedByComponent[c]
-           << "  wrong " << wrongByComponent[c] << "\n";
-    }
+    forEachCounter(*this, row);
+    row("ipc", ipc());
+    row("coverage", coverage());
+    row("accuracy", accuracy());
 }
 
 namespace
 {
 
-/** One row per scalar counter: keeps forEachCounter / setCounter /
- *  statsEqual in lockstep. */
+/** One row per scalar counter: keeps forEachCounter / setCounter in
+ *  lockstep. */
 template <typename StatsT, typename Fn>
 void
 visitScalars(StatsT &s, Fn &&fn)
@@ -136,20 +102,6 @@ setCounter(SimStats &s, std::string_view name, std::uint64_t v)
         }
     }
     return false;
-}
-
-bool
-statsEqual(const SimStats &a, const SimStats &b)
-{
-    // Both visits enumerate counters in the same fixed order.
-    std::vector<std::uint64_t> av, bv;
-    forEachCounter(a, [&](std::string_view, std::uint64_t v) {
-        av.push_back(v);
-    });
-    forEachCounter(b, [&](std::string_view, std::uint64_t v) {
-        bv.push_back(v);
-    });
-    return av == bv;
 }
 
 } // namespace pipe

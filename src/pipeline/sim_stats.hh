@@ -83,7 +83,11 @@ struct SimStats
                    : 1.0;
     }
 
+    /** Every counter (forEachCounter order), then ipc, coverage
+     *  and accuracy, one aligned row each. */
     void dump(std::ostream &os) const;
+
+    bool operator==(const SimStats &) const = default;
 };
 
 /**
@@ -99,9 +103,6 @@ void forEachCounter(
 
 /** Set one counter by its forEachCounter() name. False if unknown. */
 bool setCounter(SimStats &s, std::string_view name, std::uint64_t v);
-
-/** True iff every counter of a and b is equal (bit-identical run). */
-bool statsEqual(const SimStats &a, const SimStats &b);
 
 } // namespace pipe
 } // namespace lvpsim

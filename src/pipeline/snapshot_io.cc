@@ -1,8 +1,10 @@
 #include "pipeline/snapshot_io.hh"
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -15,555 +17,361 @@ namespace pipe
 namespace
 {
 
-// The element structs behind several snapshot containers (cache
-// lines, TAGE entries, the core's Inflight records, ...) are private
-// nested types of their owning class. The helpers below deduce them
-// from the (public) snapshot members instead of naming them, which
-// keeps the types private without a friend declaration in every
-// header.
-
-template <typename T, typename PutFn>
-void
-putVec(BinWriter &w, const std::vector<T> &v, PutFn put)
+/** Encodes a value and, through its fields() list, everything in it. */
+class Writer
 {
-    w.u64(v.size());
-    for (const auto &e : v)
-        put(w, e);
-}
+  public:
+    explicit Writer(BinWriter &out) : w(out) {}
 
-/** @p minBytesPerElem bounds allocation from a corrupt length field. */
-template <typename T, typename GetFn>
-void
-getVec(BinReader &r, std::vector<T> &v, std::size_t minBytesPerElem,
-       GetFn get)
-{
-    const std::size_t n = r.count(minBytesPerElem);
-    v.clear();
-    v.resize(n);
-    for (auto &e : v) {
-        get(r, e);
-        if (!r.ok())
-            return;
+    /** The visitor that fields() calls with its member list. */
+    template <class... T>
+    void
+    operator()(const T &...xs)
+    {
+        (put(xs), ...);
     }
-}
 
-template <typename T, typename PutFn>
-void
-putRing(BinWriter &w, const RingBuffer<T> &rb, PutFn put)
-{
-    w.u64(rb.capacity());
-    w.u64(rb.size());
-    for (std::size_t i = 0; i < rb.size(); ++i)
-        put(w, rb[i]);
-}
-
-template <typename T, typename GetFn>
-void
-getRing(BinReader &r, RingBuffer<T> &rb, GetFn get)
-{
-    constexpr std::uint64_t maxCapacity = std::uint64_t(1) << 20;
-    const std::uint64_t cap = r.u64();
-    const std::size_t n = r.count(1);
-    if (!r.ok() || cap == 0 || cap > maxCapacity || n > cap ||
-        !isPowerOf2(cap)) {
-        r.fail();
-        return;
-    }
-    rb.configure(static_cast<std::size_t>(cap));
-    for (std::size_t i = 0; i < n; ++i) {
-        T e{};
-        get(r, e);
-        if (!r.ok())
-            return;
-        rb.push_back(std::move(e));
-    }
-}
-
-template <typename K, typename V, typename H, typename PutFn>
-void
-putMap(BinWriter &w, const FlatMap<K, V, H> &m, PutFn putVal)
-{
-    const auto &slots = m.rawSlots();
-    const auto &used = m.rawUsed();
-    w.u64(slots.size());
-    w.u64(m.size());
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        w.u8(used[i]);
-        if (used[i]) {
-            w.u64(static_cast<std::uint64_t>(slots[i].first));
-            putVal(w, slots[i].second);
+    template <class T>
+    void
+    put(const T &x)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            w.b(x);
+        } else if constexpr (std::is_integral_v<T>) {
+            static_assert(sizeof(T) <= 8);
+            if constexpr (sizeof(T) == 1)
+                w.u8(static_cast<std::uint8_t>(x));
+            else if constexpr (sizeof(T) == 2)
+                w.u16(static_cast<std::uint16_t>(x));
+            else if constexpr (sizeof(T) == 4)
+                w.u32(static_cast<std::uint32_t>(x));
+            else
+                w.u64(static_cast<std::uint64_t>(x));
+        } else {
+            // fields() is non-const so that one list also serves the
+            // Reader; the Writer only reads through it.
+            const_cast<T &>(x).fields(*this);
         }
     }
-}
 
-template <typename K, typename V, typename H, typename GetFn>
-void
-getMap(BinReader &r, FlatMap<K, V, H> &m, GetFn getVal)
-{
-    const std::size_t cap = r.count(1);
-    const std::uint64_t live = r.u64();
-    // The in-memory map keeps load factor <= 3/4 (a full table would
-    // make probe loops unbounded), so a layout claiming more is
-    // corrupt, not merely unusual.
-    if (!r.ok() || (cap != 0 && !isPowerOf2(cap)) || live > cap ||
-        (cap != 0 && live * 4 > cap * 3)) {
-        r.fail();
-        return;
+    template <class T, std::size_t N>
+    void
+    put(const std::array<T, N> &a)
+    {
+        for (const T &e : a)
+            put(e);
     }
-    std::vector<typename FlatMap<K, V, H>::value_type> slots(cap);
-    std::vector<std::uint8_t> used(cap, 0);
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < cap; ++i) {
-        const std::uint8_t u = r.u8();
-        if (u > 1) {
-            r.fail();
-            return;
-        }
-        used[i] = u;
-        if (u != 0) {
-            slots[i].first = static_cast<K>(r.u64());
-            getVal(r, slots[i].second);
-            ++seen;
-        }
-        if (!r.ok())
-            return;
-    }
-    if (seen != live) {
-        r.fail();
-        return;
-    }
-    m.restoreRaw(std::move(slots), std::move(used),
-                 static_cast<std::size_t>(live));
-}
 
-void
-putFolds(BinWriter &w, const std::vector<branch::FoldedHistory> &v)
-{
-    w.u64(v.size());
-    for (const auto &f : v) {
+    template <class T>
+    void
+    put(const std::vector<T> &v)
+    {
+        w.u64(v.size());
+        for (const T &e : v)
+            put(e);
+    }
+
+    template <class T>
+    void
+    put(const RingBuffer<T> &rb)
+    {
+        w.u64(rb.capacity());
+        w.u64(rb.size());
+        for (std::size_t i = 0; i < rb.size(); ++i)
+            put(rb[i]);
+    }
+
+    template <class K, class V, class H>
+    void
+    put(const FlatMap<K, V, H> &m)
+    {
+        const auto &slots = m.rawSlots();
+        const auto &used = m.rawUsed();
+        w.u64(slots.size());
+        w.u64(m.size());
+        for (std::size_t i = 0; i < slots.size(); ++i) {
+            w.u8(used[i]);
+            if (used[i]) {
+                w.u64(static_cast<std::uint64_t>(slots[i].first));
+                put(slots[i].second);
+            }
+        }
+    }
+
+    void
+    put(const std::vector<bool> &v)
+    {
+        w.u64(v.size());
+        for (const bool bit : v)
+            w.b(bit);
+    }
+
+    void
+    put(const branch::FoldedHistory &f)
+    {
         w.u32(f.length());
         w.u32(f.foldedLength());
         w.u32(f.value());
     }
+
+    void
+    put(const branch::HistoryRing &h)
+    {
+        w.u64(h.rawBits().size());
+        w.u64(h.rawHead());
+        w.bytes(h.rawBits().data(), h.rawBits().size());
+    }
+
+    void
+    put(const Xoshiro256 &g)
+    {
+        for (const std::uint64_t word : g.rawState())
+            w.u64(word);
+    }
+
+    void
+    put(const Prediction &p)
+    {
+        w.u8(static_cast<std::uint8_t>(p.kind));
+        w.u64(p.value);
+        w.u64(p.addr);
+        w.i8(static_cast<std::int8_t>(p.component));
+    }
+
+    void put(const SimStats &s) { serializeSnapshot(w, s); }
+
+  private:
+    BinWriter &w;
+};
+
+/**
+ * Smallest encoding of a T: that of a value-initialized one, whose
+ * variable-length parts are all empty. Bounds a length field against
+ * the bytes left, so a corrupt count cannot drive a huge allocation.
+ */
+template <class T>
+std::size_t
+minEncodedBytes()
+{
+    static const std::size_t n = [] {
+        BinWriter w;
+        Writer(w).put(T{});
+        return w.size();
+    }();
+    return n;
 }
 
-void
-getFolds(BinReader &r, std::vector<branch::FoldedHistory> &v)
+/** Decodes what Writer encodes, validating as it goes. */
+class Reader
 {
-    const std::size_t n = r.count(12);
-    v.clear();
-    v.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t orig = r.u32();
-        const std::uint32_t compLen = r.u32();
-        const std::uint32_t val = r.u32();
-        // The FoldedHistory constructor asserts its width; validate
-        // here first so corrupt input stays a store miss.
-        if (!r.ok() || compLen < 1 || compLen > 31) {
+  public:
+    explicit Reader(BinReader &in) : r(in) {}
+
+    template <class... T>
+    void
+    operator()(T &...xs)
+    {
+        (get(xs), ...);
+    }
+
+    template <class T>
+    void
+    get(T &x)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            x = r.b();
+        } else if constexpr (std::is_integral_v<T>) {
+            if constexpr (sizeof(T) == 1)
+                x = static_cast<T>(r.u8());
+            else if constexpr (sizeof(T) == 2)
+                x = static_cast<T>(r.u16());
+            else if constexpr (sizeof(T) == 4)
+                x = static_cast<T>(r.u32());
+            else
+                x = static_cast<T>(r.u64());
+        } else {
+            x.fields(*this);
+            if constexpr (requires { x.wellFormed(); }) {
+                if (r.ok() && !x.wellFormed())
+                    r.fail();
+            }
+        }
+    }
+
+    template <class T, std::size_t N>
+    void
+    get(std::array<T, N> &a)
+    {
+        for (T &e : a)
+            get(e);
+    }
+
+    template <class T>
+    void
+    get(std::vector<T> &v)
+    {
+        const std::size_t n = r.count(minEncodedBytes<T>());
+        v.clear();
+        v.resize(n);
+        for (T &e : v) {
+            get(e);
+            if (!r.ok())
+                return;
+        }
+    }
+
+    template <class T>
+    void
+    get(RingBuffer<T> &rb)
+    {
+        constexpr std::uint64_t maxCapacity = std::uint64_t(1) << 20;
+        const std::uint64_t cap = r.u64();
+        const std::size_t n = r.count(1);
+        if (!r.ok() || cap == 0 || cap > maxCapacity || n > cap ||
+            !isPowerOf2(cap)) {
             r.fail();
             return;
         }
-        branch::FoldedHistory f(orig, compLen);
-        f.restoreRaw(val);
-        v.push_back(f);
+        rb.configure(static_cast<std::size_t>(cap));
+        for (std::size_t i = 0; i < n; ++i) {
+            T e{};
+            get(e);
+            if (!r.ok())
+                return;
+            rb.push_back(std::move(e));
+        }
     }
-}
 
-void
-putHistoryRing(BinWriter &w, const branch::HistoryRing &h)
-{
-    w.u64(h.rawBits().size());
-    w.u64(h.rawHead());
-    w.bytes(h.rawBits().data(), h.rawBits().size());
-}
-
-void
-getHistoryRing(BinReader &r, branch::HistoryRing &h)
-{
-    const std::size_t n = r.count(1);
-    const std::uint64_t head = r.u64();
-    if (!r.ok() || n == 0 || head >= n) {
-        r.fail();
-        return;
-    }
-    std::vector<std::uint8_t> bits(n);
-    if (!r.bytes(bits.data(), n))
-        return;
-    for (const std::uint8_t b : bits) {
-        if (b > 1) {
+    template <class K, class V, class H>
+    void
+    get(FlatMap<K, V, H> &m)
+    {
+        const std::size_t cap = r.count(1);
+        const std::uint64_t live = r.u64();
+        // The in-memory map keeps load factor <= 3/4 (a full table
+        // would make probe loops unbounded), so a layout claiming
+        // more is corrupt, not merely unusual.
+        if (!r.ok() || (cap != 0 && !isPowerOf2(cap)) || live > cap ||
+            (cap != 0 && live * 4 > cap * 3)) {
             r.fail();
             return;
         }
+        std::vector<typename FlatMap<K, V, H>::value_type> slots(cap);
+        std::vector<std::uint8_t> used(cap, 0);
+        std::uint64_t seen = 0;
+        for (std::size_t i = 0; i < cap; ++i) {
+            const std::uint8_t u = r.u8();
+            if (u > 1) {
+                r.fail();
+                return;
+            }
+            used[i] = u;
+            if (u != 0) {
+                slots[i].first = static_cast<K>(r.u64());
+                get(slots[i].second);
+                ++seen;
+            }
+            if (!r.ok())
+                return;
+        }
+        if (seen != live) {
+            r.fail();
+            return;
+        }
+        m.restoreRaw(std::move(slots), std::move(used),
+                     static_cast<std::size_t>(live));
     }
-    h.restoreRaw(std::move(bits), static_cast<std::size_t>(head));
-}
 
-void
-putRng(BinWriter &w, const Xoshiro256 &g)
-{
-    for (const std::uint64_t word : g.rawState())
-        w.u64(word);
-}
-
-void
-getRng(BinReader &r, Xoshiro256 &g)
-{
-    std::array<std::uint64_t, 4> st;
-    for (auto &word : st)
-        word = r.u64();
-    if (r.ok())
-        g.restoreRaw(st);
-}
-
-void
-putPrediction(BinWriter &w, const Prediction &p)
-{
-    w.u8(static_cast<std::uint8_t>(p.kind));
-    w.u64(p.value);
-    w.u64(p.addr);
-    w.i8(static_cast<std::int8_t>(p.component));
-}
-
-void
-getPrediction(BinReader &r, Prediction &p)
-{
-    const std::uint8_t k = r.u8();
-    if (k > static_cast<std::uint8_t>(Prediction::Kind::Address)) {
-        r.fail();
-        return;
+    void
+    get(std::vector<bool> &v)
+    {
+        const std::size_t n = r.count(1);
+        v.assign(n, false);
+        for (std::size_t i = 0; i < n && r.ok(); ++i)
+            v[i] = r.b();
     }
-    p.kind = static_cast<Prediction::Kind>(k);
-    p.value = r.u64();
-    p.addr = r.u64();
-    const std::int8_t c = r.i8();
-    if (c < static_cast<std::int8_t>(ComponentId::None) ||
-        c > static_cast<std::int8_t>(ComponentId::Other)) {
-        r.fail();
-        return;
+
+    /** Whole vectors: FoldedHistory has no default constructor. */
+    void
+    get(std::vector<branch::FoldedHistory> &v)
+    {
+        const std::size_t n = r.count(12);
+        v.clear();
+        v.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint32_t orig = r.u32();
+            const std::uint32_t compLen = r.u32();
+            const std::uint32_t val = r.u32();
+            // The FoldedHistory constructor asserts its width;
+            // validate here first so corrupt input stays a store miss.
+            if (!r.ok() || compLen < 1 || compLen > 31) {
+                r.fail();
+                return;
+            }
+            branch::FoldedHistory f(orig, compLen);
+            f.restoreRaw(val);
+            v.push_back(f);
+        }
     }
-    p.component = static_cast<ComponentId>(c);
-}
 
-/** Core::Inflight, deduced (the type is private to Core). */
-template <typename E>
-void
-putInflight(BinWriter &w, const E &e)
-{
-    w.u32(e.traceIdx);
-    w.u64(e.seq);
-    w.u64(e.fetchCycle);
-    w.u64(e.minIssueCycle);
-    w.u64(e.doneCycle);
-    w.u64(e.sleepUntil);
-    w.b(e.inIQ);
-    w.b(e.issued);
-    w.b(e.done);
-    for (const auto d : e.depSeq)
-        w.u64(d);
-    w.b(e.branchMispredicted);
-    putPrediction(w, e.pred);
-    w.u64(e.token);
-    w.b(e.vpDelivered);
-    w.u64(e.vpReadyCycle);
-    w.b(e.vpWrong);
-    w.b(e.paqPending);
-    w.b(e.speculativeLoad);
-}
+    void
+    get(branch::HistoryRing &h)
+    {
+        const std::size_t n = r.count(1);
+        const std::uint64_t head = r.u64();
+        if (!r.ok() || n == 0 || head >= n) {
+            r.fail();
+            return;
+        }
+        std::vector<std::uint8_t> bits(n);
+        if (!r.bytes(bits.data(), n))
+            return;
+        for (const std::uint8_t b : bits) {
+            if (b > 1) {
+                r.fail();
+                return;
+            }
+        }
+        h.restoreRaw(std::move(bits), static_cast<std::size_t>(head));
+    }
 
-template <typename E>
-void
-getInflight(BinReader &r, E &e)
-{
-    e.traceIdx = r.u32();
-    e.seq = r.u64();
-    e.fetchCycle = r.u64();
-    e.minIssueCycle = r.u64();
-    e.doneCycle = r.u64();
-    e.sleepUntil = r.u64();
-    e.inIQ = r.b();
-    e.issued = r.b();
-    e.done = r.b();
-    for (auto &d : e.depSeq)
-        d = r.u64();
-    e.branchMispredicted = r.b();
-    getPrediction(r, e.pred);
-    e.token = r.u64();
-    e.vpDelivered = r.b();
-    e.vpReadyCycle = r.u64();
-    e.vpWrong = r.b();
-    e.paqPending = r.b();
-    e.speculativeLoad = r.b();
-}
+    void
+    get(Xoshiro256 &g)
+    {
+        std::array<std::uint64_t, 4> st;
+        for (auto &word : st)
+            word = r.u64();
+        if (r.ok())
+            g.restoreRaw(st);
+    }
+
+    void
+    get(Prediction &p)
+    {
+        const std::uint8_t k = r.u8();
+        if (k > static_cast<std::uint8_t>(Prediction::Kind::Address)) {
+            r.fail();
+            return;
+        }
+        p.kind = static_cast<Prediction::Kind>(k);
+        p.value = r.u64();
+        p.addr = r.u64();
+        const std::int8_t c = r.i8();
+        if (c < static_cast<std::int8_t>(ComponentId::None) ||
+            c > static_cast<std::int8_t>(ComponentId::Other)) {
+            r.fail();
+            return;
+        }
+        p.component = static_cast<ComponentId>(c);
+    }
+
+    void get(SimStats &s) { deserializeSnapshot(r, s); }
+
+  private:
+    BinReader &r;
+};
 
 } // namespace
-
-void
-serializeSnapshot(BinWriter &w, const mem::Cache::Snapshot &s)
-{
-    putVec(w, s.lines, [](BinWriter &wr, const auto &l) {
-        wr.b(l.valid);
-        wr.b(l.dirty);
-        wr.u64(l.tag);
-        wr.u64(l.lastUse);
-    });
-    w.u64(s.useClock);
-    w.u64(s.numHits);
-    w.u64(s.numMisses);
-}
-
-void
-deserializeSnapshot(BinReader &r, mem::Cache::Snapshot &s)
-{
-    getVec(r, s.lines, 18, [](BinReader &rd, auto &l) {
-        l.valid = rd.b();
-        l.dirty = rd.b();
-        l.tag = rd.u64();
-        l.lastUse = rd.u64();
-    });
-    s.useClock = r.u64();
-    s.numHits = r.u64();
-    s.numMisses = r.u64();
-}
-
-void
-serializeSnapshot(BinWriter &w, const mem::Tlb::Snapshot &s)
-{
-    putVec(w, s.sets, [](BinWriter &wr, const auto &way) {
-        wr.b(way.valid);
-        wr.u64(way.vpn);
-        wr.u64(way.lastUse);
-    });
-    w.u64(s.useClock);
-    w.u64(s.numHits);
-    w.u64(s.numMisses);
-}
-
-void
-deserializeSnapshot(BinReader &r, mem::Tlb::Snapshot &s)
-{
-    getVec(r, s.sets, 17, [](BinReader &rd, auto &way) {
-        way.valid = rd.b();
-        way.vpn = rd.u64();
-        way.lastUse = rd.u64();
-    });
-    s.useClock = r.u64();
-    s.numHits = r.u64();
-    s.numMisses = r.u64();
-}
-
-void
-serializeSnapshot(BinWriter &w, const mem::StridePrefetcher::Snapshot &s)
-{
-    putVec(w, s.table, [](BinWriter &wr, const auto &e) {
-        wr.b(e.valid);
-        wr.u16(e.tag);
-        wr.u64(e.lastAddr);
-        wr.i64(e.stride);
-        wr.u8(e.conf);
-    });
-    w.u64(s.numIssued);
-}
-
-void
-deserializeSnapshot(BinReader &r, mem::StridePrefetcher::Snapshot &s)
-{
-    getVec(r, s.table, 20, [](BinReader &rd, auto &e) {
-        e.valid = rd.b();
-        e.tag = rd.u16();
-        e.lastAddr = rd.u64();
-        e.stride = rd.i64();
-        e.conf = rd.u8();
-    });
-    s.numIssued = r.u64();
-}
-
-void
-serializeSnapshot(BinWriter &w, const mem::MemDepPredictor::Snapshot &s)
-{
-    w.u64(s.waitBits.size());
-    for (const bool bit : s.waitBits)
-        w.b(bit);
-    w.u64(s.accesses);
-    w.u64(s.numViolations);
-}
-
-void
-deserializeSnapshot(BinReader &r, mem::MemDepPredictor::Snapshot &s)
-{
-    const std::size_t n = r.count(1);
-    s.waitBits.assign(n, false);
-    for (std::size_t i = 0; i < n && r.ok(); ++i)
-        s.waitBits[i] = r.b();
-    s.accesses = r.u64();
-    s.numViolations = r.u64();
-}
-
-void
-serializeSnapshot(BinWriter &w, const mem::MemoryHierarchy::Snapshot &s)
-{
-    serializeSnapshot(w, s.icache);
-    serializeSnapshot(w, s.dcache);
-    serializeSnapshot(w, s.l2cache);
-    serializeSnapshot(w, s.l3cache);
-    serializeSnapshot(w, s.dtlb);
-    serializeSnapshot(w, s.pf);
-}
-
-void
-deserializeSnapshot(BinReader &r, mem::MemoryHierarchy::Snapshot &s)
-{
-    deserializeSnapshot(r, s.icache);
-    deserializeSnapshot(r, s.dcache);
-    deserializeSnapshot(r, s.l2cache);
-    deserializeSnapshot(r, s.l3cache);
-    deserializeSnapshot(r, s.dtlb);
-    deserializeSnapshot(r, s.pf);
-}
-
-void
-serializeSnapshot(BinWriter &w, const branch::Tage::Snapshot &s)
-{
-    putVec(w, s.base,
-           [](BinWriter &wr, const std::int8_t c) { wr.i8(c); });
-    w.u64(s.tables.size());
-    for (const auto &table : s.tables) {
-        putVec(w, table, [](BinWriter &wr, const auto &e) {
-            wr.u16(e.tag);
-            wr.i8(e.ctr);
-            wr.u8(e.useful);
-            wr.b(e.valid);
-        });
-    }
-    putFolds(w, s.foldIdx);
-    putFolds(w, s.foldTag1);
-    putFolds(w, s.foldTag2);
-    putHistoryRing(w, s.ring);
-    w.u64(s.pathHist);
-    putRng(w, s.rng);
-    w.i64(s.providerTable);
-    w.i64(s.altTable);
-    w.b(s.providerPred);
-    w.b(s.altPred);
-    w.b(s.lastPrediction);
-    w.u64(s.lastPc);
-    w.u64(s.numLookups);
-    w.u64(s.numMispredicts);
-}
-
-void
-deserializeSnapshot(BinReader &r, branch::Tage::Snapshot &s)
-{
-    getVec(r, s.base, 1,
-           [](BinReader &rd, std::int8_t &c) { c = rd.i8(); });
-    const std::size_t numTables = r.count(8);
-    s.tables.clear();
-    s.tables.resize(numTables);
-    for (auto &table : s.tables) {
-        getVec(r, table, 5, [](BinReader &rd, auto &e) {
-            e.tag = rd.u16();
-            e.ctr = rd.i8();
-            e.useful = rd.u8();
-            e.valid = rd.b();
-        });
-        if (!r.ok())
-            return;
-    }
-    getFolds(r, s.foldIdx);
-    getFolds(r, s.foldTag1);
-    getFolds(r, s.foldTag2);
-    getHistoryRing(r, s.ring);
-    s.pathHist = r.u64();
-    getRng(r, s.rng);
-    s.providerTable = static_cast<int>(r.i64());
-    s.altTable = static_cast<int>(r.i64());
-    s.providerPred = r.b();
-    s.altPred = r.b();
-    s.lastPrediction = r.b();
-    s.lastPc = r.u64();
-    s.numLookups = r.u64();
-    s.numMispredicts = r.u64();
-}
-
-void
-serializeSnapshot(BinWriter &w, const branch::Ittage::Snapshot &s)
-{
-    putVec(w, s.base,
-           [](BinWriter &wr, const Addr target) { wr.u64(target); });
-    w.u64(s.tables.size());
-    for (const auto &table : s.tables) {
-        putVec(w, table, [](BinWriter &wr, const auto &e) {
-            wr.b(e.valid);
-            wr.u16(e.tag);
-            wr.u64(e.target);
-            wr.u8(e.conf);
-            wr.u8(e.useful);
-        });
-    }
-    putFolds(w, s.foldIdx);
-    putFolds(w, s.foldTag);
-    putHistoryRing(w, s.ring);
-    putRng(w, s.rng);
-    w.i64(s.providerTable);
-    w.u64(s.lastPrediction);
-    w.u64(s.lastPc);
-    w.u64(s.numLookups);
-    w.u64(s.numMispredicts);
-}
-
-void
-deserializeSnapshot(BinReader &r, branch::Ittage::Snapshot &s)
-{
-    getVec(r, s.base, 8,
-           [](BinReader &rd, Addr &target) { target = rd.u64(); });
-    const std::size_t numTables = r.count(8);
-    s.tables.clear();
-    s.tables.resize(numTables);
-    for (auto &table : s.tables) {
-        getVec(r, table, 13, [](BinReader &rd, auto &e) {
-            e.valid = rd.b();
-            e.tag = rd.u16();
-            e.target = rd.u64();
-            e.conf = rd.u8();
-            e.useful = rd.u8();
-        });
-        if (!r.ok())
-            return;
-    }
-    getFolds(r, s.foldIdx);
-    getFolds(r, s.foldTag);
-    getHistoryRing(r, s.ring);
-    getRng(r, s.rng);
-    s.providerTable = static_cast<int>(r.i64());
-    s.lastPrediction = r.u64();
-    s.lastPc = r.u64();
-    s.numLookups = r.u64();
-    s.numMispredicts = r.u64();
-}
-
-void
-serializeSnapshot(BinWriter &w, const branch::ReturnAddressStack::Snapshot &s)
-{
-    putVec(w, s.entries,
-           [](BinWriter &wr, const Addr a) { wr.u64(a); });
-    w.u64(s.top);
-    w.u64(s.count);
-}
-
-void
-deserializeSnapshot(BinReader &r, branch::ReturnAddressStack::Snapshot &s)
-{
-    getVec(r, s.entries, 8,
-           [](BinReader &rd, Addr &a) { a = rd.u64(); });
-    s.top = static_cast<std::size_t>(r.u64());
-    s.count = static_cast<std::size_t>(r.u64());
-    if (!r.ok())
-        return;
-    if ((s.entries.empty() && (s.top != 0 || s.count != 0)) ||
-        (!s.entries.empty() &&
-         (s.top >= s.entries.size() || s.count > s.entries.size()))) {
-        r.fail();
-    }
-}
 
 void
 serializeSnapshot(BinWriter &w, const SimStats &s)
@@ -618,103 +426,13 @@ deserializeSnapshot(BinReader &r, SimStats &s)
 void
 serializeSnapshot(BinWriter &w, const Core::Snapshot &s)
 {
-    serializeSnapshot(w, s.memory);
-    serializeSnapshot(w, s.memdep);
-    serializeSnapshot(w, s.tage);
-    serializeSnapshot(w, s.ittage);
-    serializeSnapshot(w, s.ras);
-
-    w.u64(s.now);
-    w.u64(s.fetchIdx);
-    w.u64(s.contextIdx);
-    w.u64(s.fetchResumeCycle);
-    w.b(s.fetchHalted);
-    w.b(s.fetchFrozen);
-    w.b(s.vpActive);
-    w.u64(s.nextSeq);
-    w.u64(s.nextToken);
-    w.u64(s.committed);
-    w.u64(s.issuedNotDone);
-
-    const auto putInf = [](BinWriter &wr, const auto &e) {
-        putInflight(wr, e);
-    };
-    putRing(w, s.rob, putInf);
-    putRing(w, s.fetchBuf, putInf);
-    putRing(w, s.paq, [](BinWriter &wr, const auto &e) {
-        wr.u64(e.seq);
-        wr.u64(e.addr);
-    });
-    const auto putMemQ = [](BinWriter &wr, const auto &e) {
-        wr.u64(e.seq);
-        wr.u64(e.addr);
-        wr.u32(e.size);
-    };
-    putRing(w, s.ldq, putMemQ);
-    putRing(w, s.stq, putMemQ);
-    w.u32(s.iqCount);
-    w.u64(s.specLoadsInFlight);
-    for (const InstSeqNum seq : s.lastWriter)
-        w.u64(seq);
-    putMap(w, s.inflightLoadPcs,
-           [](BinWriter &wr, const unsigned v) { wr.u32(v); });
-    putMap(w, s.refetchStash, [](BinWriter &wr, const auto &v) {
-        wr.u64(v.token);
-        putPrediction(wr, v.pred);
-    });
-
-    serializeSnapshot(w, s.stats);
+    Writer(w).put(s);
 }
 
 void
 deserializeSnapshot(BinReader &r, Core::Snapshot &s)
 {
-    deserializeSnapshot(r, s.memory);
-    deserializeSnapshot(r, s.memdep);
-    deserializeSnapshot(r, s.tage);
-    deserializeSnapshot(r, s.ittage);
-    deserializeSnapshot(r, s.ras);
-
-    s.now = r.u64();
-    s.fetchIdx = r.u64();
-    s.contextIdx = r.u64();
-    s.fetchResumeCycle = r.u64();
-    s.fetchHalted = r.b();
-    s.fetchFrozen = r.b();
-    s.vpActive = r.b();
-    s.nextSeq = r.u64();
-    s.nextToken = r.u64();
-    s.committed = r.u64();
-    s.issuedNotDone = r.u64();
-
-    const auto getInf = [](BinReader &rd, auto &e) {
-        getInflight(rd, e);
-    };
-    getRing(r, s.rob, getInf);
-    getRing(r, s.fetchBuf, getInf);
-    getRing(r, s.paq, [](BinReader &rd, auto &e) {
-        e.seq = rd.u64();
-        e.addr = rd.u64();
-    });
-    const auto getMemQ = [](BinReader &rd, auto &e) {
-        e.seq = rd.u64();
-        e.addr = rd.u64();
-        e.size = rd.u32();
-    };
-    getRing(r, s.ldq, getMemQ);
-    getRing(r, s.stq, getMemQ);
-    s.iqCount = r.u32();
-    s.specLoadsInFlight = r.u64();
-    for (InstSeqNum &seq : s.lastWriter)
-        seq = r.u64();
-    getMap(r, s.inflightLoadPcs,
-           [](BinReader &rd, unsigned &v) { v = rd.u32(); });
-    getMap(r, s.refetchStash, [](BinReader &rd, auto &v) {
-        v.token = rd.u64();
-        getPrediction(rd, v.pred);
-    });
-
-    deserializeSnapshot(r, s.stats);
+    Reader(r).get(s);
 }
 
 } // namespace pipe

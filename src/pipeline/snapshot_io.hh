@@ -4,19 +4,24 @@
  * bridge between `pipe::Core::Snapshot` and the on-disk checkpoint
  * store (src/sim/checkpoint_store.hh, docs/performance.md).
  *
- * Every substrate snapshot that `Core::Snapshot` aggregates gets an
- * explicit overload pair here, and each overload names every member
- * of its snapshot struct: lvplint's state-snapshot check
- * cross-references the member lists against these bodies, so a field
- * added to a snapshot without a matching serialize/deserialize line
- * fails the lint gate instead of silently drifting the disk format.
+ * There are no per-class serializers. Every checkpointable class keeps
+ * its mutable state in one `State` struct whose
+ * `template <class V> void fields(V &v)` names the members once, in
+ * encode order; one generic writer and one generic reader walk those
+ * lists. Arithmetic members encode at their own width, containers
+ * (`std::array`, `std::vector`, `RingBuffer`, `FlatMap`) element by
+ * element. Only types that hide an invariant behind accessors
+ * (`FoldedHistory`, `HistoryRing`, `Xoshiro256`, `Prediction`,
+ * `std::vector<bool>`, `SimStats`) have hand-written codecs.
  *
  * Deserialization is *total*: structurally or semantically invalid
  * input flips the BinReader's sticky fail flag (checked by the store,
- * which treats it as a miss) and never asserts or throws. Geometry
- * mismatches (e.g. a snapshot from a differently sized config) are
- * caught one level up by the store key, which encodes the full run
- * config; this layer only validates what it needs to stay memory-safe.
+ * which treats it as a miss) and never asserts or throws. A decoded
+ * struct that declares `bool wellFormed() const` is checked with it.
+ * Geometry mismatches (e.g. a snapshot from a differently sized
+ * config) are caught one level up by the store key, which encodes the
+ * full run config; this layer only validates what it needs to stay
+ * memory-safe.
  */
 
 #pragma once
@@ -34,35 +39,6 @@ namespace pipe
  * Mismatched versions are store misses, never decode attempts.
  */
 constexpr std::uint32_t kSnapshotFormatVersion = 1;
-
-void serializeSnapshot(BinWriter &w, const mem::Cache::Snapshot &s);
-void deserializeSnapshot(BinReader &r, mem::Cache::Snapshot &s);
-
-void serializeSnapshot(BinWriter &w, const mem::Tlb::Snapshot &s);
-void deserializeSnapshot(BinReader &r, mem::Tlb::Snapshot &s);
-
-void serializeSnapshot(BinWriter &w,
-                       const mem::StridePrefetcher::Snapshot &s);
-void deserializeSnapshot(BinReader &r, mem::StridePrefetcher::Snapshot &s);
-
-void serializeSnapshot(BinWriter &w,
-                       const mem::MemDepPredictor::Snapshot &s);
-void deserializeSnapshot(BinReader &r, mem::MemDepPredictor::Snapshot &s);
-
-void serializeSnapshot(BinWriter &w,
-                       const mem::MemoryHierarchy::Snapshot &s);
-void deserializeSnapshot(BinReader &r, mem::MemoryHierarchy::Snapshot &s);
-
-void serializeSnapshot(BinWriter &w, const branch::Tage::Snapshot &s);
-void deserializeSnapshot(BinReader &r, branch::Tage::Snapshot &s);
-
-void serializeSnapshot(BinWriter &w, const branch::Ittage::Snapshot &s);
-void deserializeSnapshot(BinReader &r, branch::Ittage::Snapshot &s);
-
-void serializeSnapshot(BinWriter &w,
-                       const branch::ReturnAddressStack::Snapshot &s);
-void deserializeSnapshot(BinReader &r,
-                         branch::ReturnAddressStack::Snapshot &s);
 
 /**
  * Counters travel as (FNV-1a name hash, value) pairs: renaming,

@@ -120,30 +120,6 @@ IntervalProfiler::finish()
     return out;
 }
 
-void
-IntervalProfiler::saveState(Snapshot &s) const
-{
-    s.pcCounts = pcCounts;
-    s.strideCounts = strideCounts;
-    s.instrsInInterval = instrsInInterval;
-    s.loadsInInterval = loadsInInterval;
-    s.lastLoadAddr = lastLoadAddr;
-    s.haveLastLoad = haveLastLoad;
-    s.profile = profile;
-}
-
-void
-IntervalProfiler::restoreState(const Snapshot &s)
-{
-    pcCounts = s.pcCounts;
-    strideCounts = s.strideCounts;
-    instrsInInterval = s.instrsInInterval;
-    loadsInInterval = s.loadsInInterval;
-    lastLoadAddr = s.lastLoadAddr;
-    haveLastLoad = s.haveLastLoad;
-    profile = s.profile;
-}
-
 IntervalProfile
 profileTrace(const std::vector<MicroOp> &ops,
              std::uint64_t interval_len)

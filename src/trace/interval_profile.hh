@@ -62,10 +62,7 @@ struct IntervalProfile
 /**
  * Streaming interval profiler: feed every instruction in program
  * order via observe(), then finish() to flush the partial tail and
- * take the profile. The in-flight state is checkpointable
- * (saveState/restoreState) so a profiling pass can be suspended and
- * resumed bit-identically, e.g. alongside the functional-warmup
- * checkpoint builder.
+ * take the profile.
  */
 class IntervalProfiler
 {
@@ -82,27 +79,9 @@ class IntervalProfiler
     /** Instructions observed since construction / the last finish(). */
     std::uint64_t observed() const { return profile.totalInstructions; }
 
-    /** The complete in-flight profiling state. */
-    struct Snapshot
-    {
-        std::array<std::uint64_t, IntervalSignature::pcDims> pcCounts{};
-        std::array<std::uint64_t, IntervalSignature::strideDims>
-            strideCounts{};
-        std::uint64_t instrsInInterval = 0;
-        std::uint64_t loadsInInterval = 0;
-        Addr lastLoadAddr = 0;
-        bool haveLastLoad = false;
-        IntervalProfile profile;
-    };
-
-    void saveState(Snapshot &s) const;
-    void restoreState(const Snapshot &s);
-
   private:
     void closeInterval();
 
-    // lvplint: allow(state-snapshot) -- construction-time config,
-    // immutable (mirrored by IntervalProfile::intervalLen)
     std::uint64_t intervalLen;
 
     std::array<std::uint64_t, IntervalSignature::pcDims> pcCounts{};

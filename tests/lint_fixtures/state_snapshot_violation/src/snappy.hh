@@ -1,7 +1,6 @@
 /** Fixture: checkpointable class with a member missing from its
  *  saveState/restoreState pair (`hits` is the seeded violation), and
- *  a serializeSnapshot/deserializeSnapshot overload pair whose
- *  deserialize half skips a Snapshot member (`clock` is the second
+ *  a State whose fields() list skips a member (`clock` is the second
  *  seeded violation). */
 
 #pragma once
@@ -15,44 +14,25 @@ namespace fixture
 class Counter
 {
   public:
-    struct Snapshot
+    struct State
     {
         std::vector<std::uint64_t> table;
         std::uint64_t clock = 0;
+
+        template <class V>
+        void
+        fields(V &v)
+        {
+            v(table);
+        }
     };
 
-    void saveState(Snapshot &s) const
-    {
-        s.table = table;
-        s.clock = clock;
-    }
-
-    void restoreState(const Snapshot &s)
-    {
-        table = s.table;
-        clock = s.clock;
-    }
+    void saveState(State &s) const { s = st; }
+    void restoreState(const State &s) { st = s; }
 
   private:
-    std::vector<std::uint64_t> table;
-    std::uint64_t clock = 0;
+    State st;
     std::uint64_t hits = 0;
 };
-
-struct ByteSink;
-struct ByteSource;
-
-inline void
-serializeSnapshot(ByteSink &w, const Counter::Snapshot &s)
-{
-    put(w, s.table);
-    put(w, s.clock);
-}
-
-inline void
-deserializeSnapshot(ByteSource &r, Counter::Snapshot &s)
-{
-    get(r, s.table);
-}
 
 } // namespace fixture

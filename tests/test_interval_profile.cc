@@ -108,32 +108,6 @@ TEST(IntervalProfile, DeterministicAcrossRuns)
                             trace::profileTrace(trace, 7000)));
 }
 
-TEST(IntervalProfile, SnapshotResumeIsBitIdentical)
-{
-    const auto trace = ops("pointer_chase", 15000);
-
-    IntervalProfiler straight(4000);
-    for (const auto &op : trace)
-        straight.observe(op);
-
-    // Suspend mid-interval, roll the original forward past the
-    // suspension point, then restore and resume: the resumed profile
-    // must match the straight-through one exactly.
-    IntervalProfiler resumed(4000);
-    const std::size_t cut = 6500; // mid-interval on purpose
-    for (std::size_t i = 0; i < cut; ++i)
-        resumed.observe(trace[i]);
-    IntervalProfiler::Snapshot snap;
-    resumed.saveState(snap);
-    for (std::size_t i = cut; i < cut + 1000; ++i)
-        resumed.observe(trace[i]); // diverge...
-    resumed.restoreState(snap);    // ...and rewind
-    for (std::size_t i = cut; i < trace.size(); ++i)
-        resumed.observe(trace[i]);
-
-    EXPECT_TRUE(sameProfile(straight.finish(), resumed.finish()));
-}
-
 TEST(IntervalProfile, FinishResetsTheProfiler)
 {
     const auto trace = ops("stream_sum", 9000);

@@ -253,10 +253,9 @@ TEST(SuiteRunner, ParallelRowsBitIdenticalToSerial)
         // Same order...
         EXPECT_EQ(p.rows[i].workload, workloads[i]);
         // ...and bit-identical stats, baseline and with-VP.
-        EXPECT_TRUE(pipe::statsEqual(p.rows[i].base, s.rows[i].base))
+        EXPECT_TRUE(p.rows[i].base == s.rows[i].base)
             << workloads[i] << " baseline diverged";
-        EXPECT_TRUE(
-            pipe::statsEqual(p.rows[i].withVp, s.rows[i].withVp))
+        EXPECT_TRUE(p.rows[i].withVp == s.rows[i].withVp)
             << workloads[i] << " with-VP run diverged";
         EXPECT_EQ(p.rows[i].storageBits, s.rows[i].storageBits);
     }
@@ -272,8 +271,7 @@ TEST(SuiteRunner, ParallelRunIsRepeatable)
     const auto b = runner.run("composite", smallComposite());
     ASSERT_EQ(a.rows.size(), b.rows.size());
     for (std::size_t i = 0; i < a.rows.size(); ++i)
-        EXPECT_TRUE(
-            pipe::statsEqual(a.rows[i].withVp, b.rows[i].withVp));
+        EXPECT_TRUE(a.rows[i].withVp == b.rows[i].withVp);
 }
 
 TEST(SuiteRunner, ObserverSeesEveryRun)

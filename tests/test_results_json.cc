@@ -116,7 +116,7 @@ TEST(ResultsJson, SimStatsRoundTripIsLossFree)
     const pipe::SimStats s = fabricatedStats(1000);
     pipe::SimStats back;
     ASSERT_TRUE(sim::simStatsFromJson(sim::toJson(s), back));
-    EXPECT_TRUE(pipe::statsEqual(s, back));
+    EXPECT_TRUE(s == back);
 }
 
 TEST(ResultsJson, SetCounterRejectsUnknownNames)
@@ -176,10 +176,8 @@ TEST(ResultsJson, SuiteResultFileRoundTrip)
     ASSERT_EQ(b.rows.size(), suite.rows.size());
     for (std::size_t i = 0; i < b.rows.size(); ++i) {
         EXPECT_EQ(b.rows[i].workload, suite.rows[i].workload);
-        EXPECT_TRUE(
-            pipe::statsEqual(b.rows[i].base, suite.rows[i].base));
-        EXPECT_TRUE(pipe::statsEqual(b.rows[i].withVp,
-                                     suite.rows[i].withVp));
+        EXPECT_TRUE(b.rows[i].base == suite.rows[i].base);
+        EXPECT_TRUE(b.rows[i].withVp == suite.rows[i].withVp);
         EXPECT_EQ(b.rows[i].storageBits, suite.rows[i].storageBits);
         EXPECT_DOUBLE_EQ(b.rows[i].baseSeconds,
                          suite.rows[i].baseSeconds);

@@ -88,7 +88,7 @@ TEST(SampledRun, BitIdenticalAcrossRepeats)
     auto vp2 = makeVp();
     const auto b = sim::runSampledWorkload(workload, vp2.get(), rc);
 
-    EXPECT_TRUE(pipe::statsEqual(a.stats, b.stats));
+    EXPECT_TRUE(a.stats == b.stats);
     EXPECT_EQ(a.sampleError, b.sampleError);
     EXPECT_EQ(a.sampleK, b.sampleK);
 }
@@ -126,7 +126,7 @@ TEST(SampledRun, ShortTraceDegeneratesToSingleInterval)
     full.sampleK = 0;
     auto vpF = makeVp();
     const auto ref = sim::runWorkload("memset_loop", vpF.get(), full);
-    EXPECT_TRUE(pipe::statsEqual(sampled.stats, ref));
+    EXPECT_TRUE(sampled.stats == ref);
 }
 
 TEST(SampledRun, SuiteRunnerPropagatesSampleMetadata)
@@ -177,7 +177,7 @@ TEST(SampledRun, RewrittenTraceFileCannotAliasIntervalCheckpoints)
         << "rewritten trace aliased stale interval checkpoints";
     EXPECT_GT(sim::PlanCache::instance().generations(), plans0)
         << "rewritten trace aliased a stale sample plan";
-    EXPECT_FALSE(pipe::statsEqual(before.stats, after.stats))
+    EXPECT_FALSE(before.stats == after.stats)
         << "two different traces reported identical stats";
     std::remove(path.c_str());
 }

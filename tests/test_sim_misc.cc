@@ -8,6 +8,9 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "pipeline/sim_stats.hh"
 #include "sim/options.hh"
@@ -112,5 +115,25 @@ TEST(SimStats, DumpMentionsKeyFields)
     const std::string out = os.str();
     EXPECT_NE(out.find("cycles"), std::string::npos);
     EXPECT_NE(out.find("coverage"), std::string::npos);
-    EXPECT_NE(out.find("LVP"), std::string::npos);
+    EXPECT_NE(out.find("used_by_component_0"), std::string::npos);
+}
+
+TEST(SimStats, EqualityComparesEveryCounter)
+{
+    // operator== is defaulted, so it means "bit-identical run" only
+    // while every member is a forEachCounter counter: no member may
+    // sit outside that list, and each counter must be able to break
+    // equality.
+    std::vector<std::string> names;
+    pipe::forEachCounter(pipe::SimStats{},
+                         [&](std::string_view name, std::uint64_t) {
+                             names.emplace_back(name);
+                         });
+    EXPECT_EQ(sizeof(pipe::SimStats),
+              names.size() * sizeof(std::uint64_t));
+    for (const auto &name : names) {
+        pipe::SimStats s;
+        ASSERT_TRUE(pipe::setCounter(s, name, 1)) << name;
+        EXPECT_FALSE(s == pipe::SimStats{}) << name;
+    }
 }

@@ -33,13 +33,11 @@ Checks (see docs/static_analysis.md for the rationale of each):
                   scope in headers, include-order sanity.
   state-snapshot  every data member of a checkpointable class (one
                   declaring both saveState and restoreState) is
-                  mentioned in both bodies, and every member of a
-                  nested Snapshot struct that has a
-                  serializeSnapshot/deserializeSnapshot overload
-                  pair is mentioned in both overload bodies, or
+                  mentioned in both bodies, and every data member of
+                  a struct defining fields() is named in its body, or
                   carries a justified suppression — forgetting a
                   member silently breaks checkpoint/restore
-                  bit-identity or drifts the on-disk store format.
+                  bit-identity or drops it from the on-disk format.
   lock-discipline raw std:: mutex/lock types outside common/sync.hh
                   (they are invisible to Clang thread-safety
                   analysis), and members of mutex-holding classes
@@ -78,7 +76,9 @@ import json
 import os
 import re
 import sys
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple,
+)
 
 SCAN_DIRS = ("src", "bench", "tests")
 CXX_EXTENSIONS = (".cc", ".hh")
@@ -971,33 +971,29 @@ def iter_class_bodies(code: str) -> Iterator[Tuple[str, int, int]]:
 class StateSnapshotCheck(Check):
     """Checkpoint/restore (pipe::Core::saveState and friends) is only
     bit-identical if every piece of mutable state reaches the
-    Snapshot.  A new data member that is forgotten in saveState /
-    restoreState compiles silently and corrupts restored runs in ways
-    only the differential tests can catch, long after the edit.  This
-    check makes the invariant static: in any class that declares both
+    snapshot, and the on-disk format only carries what a ``fields()``
+    list names.  A new data member that is forgotten in either
+    compiles silently and corrupts restored runs in ways only the
+    differential tests can catch, long after the edit.  This check
+    makes the invariant static: in any class that declares both
     saveState and restoreState, every data member must be mentioned
-    by name in both bodies — or carry a justified
-    ``// lvplint: allow(state-snapshot)`` explaining why it is not
-    checkpointed state (construction-time config, external wiring,
-    scratch buffers)."""
+    by name in both bodies; in any struct that defines ``fields``,
+    every data member must be named in its body — or carry a
+    justified ``// lvplint: allow(state-snapshot)`` explaining why it
+    is not checkpointed state (construction-time config, external
+    wiring, scratch buffers)."""
 
     check_id = "state-snapshot"
     description = (
         "every data member of a class declaring saveState/"
-        "restoreState appears in both bodies, and every member of a "
-        "nested Snapshot struct with a serializeSnapshot/"
-        "deserializeSnapshot overload pair appears in both overload "
-        "bodies (or is suppressed with justification)"
+        "restoreState appears in both bodies, and every data member "
+        "of a struct defining fields() appears in its body (or is "
+        "suppressed with justification)"
     )
 
-    # A definition (not declaration: the brace is required) of either
-    # half of a snapshot-serializer overload pair. The parameter list
-    # names which snapshot type the overload covers.
-    SERIALIZER_RE = re.compile(
-        r"\b(serializeSnapshot|deserializeSnapshot)\s*"
-        r"\(([^)]*)\)\s*\{"
-    )
-    SNAP_PARAM_RE = re.compile(r"([A-Za-z_]\w*)\s*::\s*Snapshot\s*&")
+    # Each group must be declared in full for its bodies to be
+    # cross-checked against the member list.
+    FUNCTION_GROUPS = (("saveState", "restoreState"), ("fields",))
 
     MEMBER_SKIP = {
         "using", "typedef", "friend", "static", "template", "enum",
@@ -1006,40 +1002,15 @@ class StateSnapshotCheck(Check):
     }
 
     def run(self, tree: Tree) -> Iterator[Finding]:
-        ser, deser = self.serializer_bodies(tree)
         for sf in tree.files:
             if not (
                 sf.relpath.startswith("src/") and sf.is_header()
             ):
                 continue
-            bodies = list(self.class_bodies(sf.code))
-            for name, start, end in bodies:
+            for name, start, end in iter_class_bodies(sf.code):
                 yield from self.check_class(
                     tree, sf, name, sf.code[start:end], start
                 )
-                if name != "Snapshot":
-                    continue
-                # The disk-format side of the same invariant: a
-                # nested Snapshot that has an explicit serializer
-                # pair (src/pipeline/snapshot_io.*) must push every
-                # member through both halves, or restored state
-                # silently diverges from saved state. Snapshots
-                # without serializers are not on disk and stay out
-                # of scope.
-                owner = self.enclosing_class(bodies, start, end)
-                if owner is None:
-                    continue
-                if owner not in ser or owner not in deser:
-                    continue
-                yield from self.check_snapshot_serializers(
-                    sf, owner, sf.code[start:end], start,
-                    ser[owner], deser[owner]
-                )
-
-    def class_bodies(
-        self, code: str
-    ) -> Iterator[Tuple[str, int, int]]:
-        return iter_class_bodies(code)
 
     def check_class(
         self,
@@ -1049,120 +1020,47 @@ class StateSnapshotCheck(Check):
         body: str,
         body_off: int,
     ) -> Iterator[Finding]:
-        members, has_save, has_restore = self.scan_members(
-            body, body_off
-        )
-        if not (has_save and has_restore):
-            return
-        save_body = self.function_body(tree, cls, body, "saveState")
-        restore_body = self.function_body(
-            tree, cls, body, "restoreState"
-        )
-        if save_body is None or restore_body is None:
-            # Declared but not defined anywhere in the scan set:
-            # nothing to cross-check (and nothing to anchor a line
-            # number to), so stay inert rather than guess.
-            return
-        for name, off in members:
-            pat = re.compile(r"\b%s\b" % re.escape(name))
-            missing = []
-            if not pat.search(save_body):
-                missing.append("saveState")
-            if not pat.search(restore_body):
-                missing.append("restoreState")
-            if missing:
-                line = sf.code.count("\n", 0, off) + 1
-                yield Finding(
-                    sf.relpath, line, self.check_id,
-                    "data member '%s' of checkpointable class '%s' "
-                    "is not mentioned in %s; checkpoint it in both "
-                    "or justify with a suppression"
-                    % (name, cls, " or ".join(missing)),
-                )
-
-    @staticmethod
-    def enclosing_class(
-        bodies: List[Tuple[str, int, int]], start: int, end: int
-    ) -> Optional[str]:
-        """Name of the innermost class strictly containing
-        [start, end), skipping other Snapshot structs."""
-        owner: Optional[str] = None
-        best = -1
-        for name, s, e in bodies:
-            if s < start and end <= e and name != "Snapshot":
-                if s > best:
-                    best, owner = s, name
-        return owner
-
-    def serializer_bodies(
-        self, tree: Tree
-    ) -> Tuple[Dict[str, str], Dict[str, str]]:
-        """Concatenated definition bodies of serializeSnapshot /
-        deserializeSnapshot overloads across the scan set, keyed by
-        the snapshot-owning class name (the token before
-        ``::Snapshot`` in the parameter list)."""
-        ser: Dict[str, str] = {}
-        deser: Dict[str, str] = {}
-        for sf in tree.files:
-            for m in self.SERIALIZER_RE.finditer(sf.code):
-                types = self.SNAP_PARAM_RE.findall(m.group(2))
-                if not types:
-                    continue
-                close = find_matching_brace(sf.code, m.end() - 1)
-                if close is None:
-                    continue
-                body = sf.code[m.end():close]
-                target = (
-                    ser if m.group(1) == "serializeSnapshot"
-                    else deser
-                )
-                cls = types[-1]
-                target[cls] = target.get(cls, "") + "\n" + body
-        return ser, deser
-
-    def check_snapshot_serializers(
-        self,
-        sf: SourceFile,
-        cls: str,
-        body: str,
-        body_off: int,
-        ser_body: str,
-        deser_body: str,
-    ) -> Iterator[Finding]:
-        members, _, _ = self.scan_members(body, body_off)
-        for name, off in members:
-            pat = re.compile(r"\b%s\b" % re.escape(name))
-            missing = []
-            if not pat.search(ser_body):
-                missing.append("serializeSnapshot")
-            if not pat.search(deser_body):
-                missing.append("deserializeSnapshot")
-            if missing:
-                line = sf.code.count("\n", 0, off) + 1
-                yield Finding(
-                    sf.relpath, line, self.check_id,
-                    "member '%s' of '%s::Snapshot' is not mentioned "
-                    "in %s; a member that skips either half of the "
-                    "serializer pair silently drifts the on-disk "
-                    "checkpoint format — encode it in both or "
-                    "justify with a suppression"
-                    % (name, cls, " or ".join(missing)),
-                )
+        members, declared = self.scan_members(body, body_off)
+        for group in self.FUNCTION_GROUPS:
+            if not declared.issuperset(group):
+                continue
+            bodies = [
+                self.function_body(tree, cls, body, fn) for fn in group
+            ]
+            if None in bodies:
+                # Declared but not defined anywhere in the scan set:
+                # nothing to cross-check (and nothing to anchor a
+                # line number to), so stay inert rather than guess.
+                continue
+            for name, off in members:
+                pat = re.compile(r"\b%s\b" % re.escape(name))
+                missing = [
+                    fn for fn, fn_body in zip(group, bodies)
+                    if not pat.search(fn_body)
+                ]
+                if missing:
+                    line = sf.code.count("\n", 0, off) + 1
+                    yield Finding(
+                        sf.relpath, line, self.check_id,
+                        "data member '%s' of '%s' is not mentioned in "
+                        "%s; checkpoint it there or justify with a "
+                        "suppression"
+                        % (name, cls, " or ".join(missing)),
+                    )
 
     def scan_members(
         self, body: str, body_off: int
-    ) -> Tuple[List[Tuple[str, int]], bool, bool]:
+    ) -> Tuple[List[Tuple[str, int]], Set[str]]:
         """Depth-1 member declarations as (name, code offset), plus
-        whether saveState / restoreState are declared or defined."""
+        which FUNCTION_GROUPS functions are declared or defined."""
         members: List[Tuple[str, int]] = []
-        has_save = has_restore = False
+        declared: Set[str] = set()
 
         def note_functions(stmt: str) -> None:
-            nonlocal has_save, has_restore
-            if re.search(r"\bsaveState\s*\(", stmt):
-                has_save = True
-            if re.search(r"\brestoreState\s*\(", stmt):
-                has_restore = True
+            for group in self.FUNCTION_GROUPS:
+                for fn in group:
+                    if re.search(r"\b%s\s*\(" % fn, stmt):
+                        declared.add(fn)
 
         def flush(stmt: str, start: Optional[int]) -> None:
             note_functions(stmt)
@@ -1213,7 +1111,7 @@ class StateSnapshotCheck(Check):
                         start = body_off + i
                     stmt += c
             i += 1
-        return members, has_save, has_restore
+        return members, declared
 
     def function_body(
         self, tree: Tree, cls: str, class_body: str, fn: str
