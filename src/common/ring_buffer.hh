@@ -22,6 +22,12 @@
  *    same as indexing a deque.
  *  - iterators are random-access, so std::lower_bound over a seq-
  *    sorted ring works and is fast (contiguous probes).
+ *  - because elements never move, a physical slot number is a stable
+ *    handle for as long as its element is live: slotOf(i) names the
+ *    element at logical index i, liveSlot(p) says whether slot p holds
+ *    a live element, and atSlot(p) reaches it in O(1). A popped slot
+ *    is reused by a later push, so a handle must be paired with an
+ *    identity check (the core compares sequence numbers).
  */
 
 #pragma once
@@ -80,6 +86,22 @@ class RingBuffer
     {
         return slots[(head + count - 1) & maskBits];
     }
+
+    /** Physical slot of the element at logical index @p i. */
+    std::size_t slotOf(std::size_t i) const
+    {
+        return (head + i) & maskBits;
+    }
+
+    /** True iff slot @p p currently holds a live element. */
+    bool liveSlot(std::size_t p) const
+    {
+        return p < slots.size() && ((p - head) & maskBits) < count;
+    }
+
+    /** The element in slot @p p (which must be live, see liveSlot). */
+    T &atSlot(std::size_t p) { return slots[p]; }
+    const T &atSlot(std::size_t p) const { return slots[p]; }
 
     void push_back(const T &v)
     {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/check.hh"
 #include "common/logging.hh"
@@ -32,90 +33,22 @@ Core::Core(const CoreConfig &config,
     // squashYoungerThan); pre-sizing makes them allocation-free.
     st.inflightLoadPcs.reserve(inflightWindow());
     st.refetchStash.reserve(inflightWindow());
-}
-
-std::size_t
-Core::robIndexOfSeq(InstSeqNum seq) const
-{
-    // ROB seqs are strictly increasing but not contiguous (a squash
-    // never rewinds nextSeq), so rob[i].seq >= rob.front().seq + i.
-    // Hence seq can only live at index <= seq - front.seq: probe that
-    // slot directly (an O(1) hit whenever no squash gap sits below
-    // it), else bisect the prefix to its left.
-    constexpr std::size_t npos = ~std::size_t(0);
-    if (st.rob.empty())
-        return npos;
-    const InstSeqNum front_seq = st.rob.front().seq;
-    if (seq < front_seq || seq > st.rob.back().seq)
-        return npos;
-    std::size_t hi = std::size_t(seq - front_seq);
-    if (hi >= st.rob.size())
-        hi = st.rob.size() - 1;
-    if (st.rob[hi].seq == seq)
-        return hi;
-    // rob[hi].seq > seq here, so the match (if any) is in [0, hi).
-    std::size_t lo = 0;
-    while (lo < hi) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        if (st.rob[mid].seq < seq)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return st.rob[lo].seq == seq ? lo : npos;
-}
-
-Core::Inflight *
-Core::findBySeq(InstSeqNum seq)
-{
-    const std::size_t i = robIndexOfSeq(seq);
-    return i == ~std::size_t(0) ? nullptr : &st.rob[i];
+    rebuildSchedule();
 }
 
 const Core::Inflight *
-Core::findBySeqConst(InstSeqNum seq) const
+Core::liveOp(std::uint32_t slot, InstSeqNum seq) const
 {
-    const std::size_t i = robIndexOfSeq(seq);
-    return i == ~std::size_t(0) ? nullptr : &st.rob[i];
+    if (!st.rob.liveSlot(slot))
+        return nullptr;
+    const Inflight &f = st.rob.atSlot(slot);
+    return f.seq == seq ? &f : nullptr;
 }
 
-bool
-Core::depsReady(Inflight &f) const
+Core::Inflight *
+Core::liveOp(std::uint32_t slot, InstSeqNum seq)
 {
-    // On failure, leave a wake-up hint in f.sleepUntil so the issue
-    // scan can skip this op without repeating the producer lookups.
-    // now+1 means "cannot bound: recheck next cycle".
-    Cycle wake = 0;
-    for (InstSeqNum d : f.depSeq) {
-        if (d == 0)
-            continue;
-        const Inflight *p = findBySeqConst(d);
-        if (!p)
-            continue; // producer committed (or squashed): ready
-        // A value-predicted load's result is available through the
-        // VPE from vpReadyCycle, even before the load executes.
-        if (p->vpDelivered && p->vpReadyCycle <= st.now)
-            continue;
-        if (p->done && p->doneCycle <= st.now)
-            continue;
-        Cycle cand;
-        if (p->vpDelivered) {
-            cand = p->vpReadyCycle;
-            if (p->issued)
-                cand = std::min(cand, p->doneCycle);
-        } else if (p->paqPending) {
-            cand = st.now + 1; // a PAQ probe may deliver any cycle
-        } else if (p->issued) {
-            cand = p->doneCycle;
-        } else {
-            cand = st.now + 1; // producer not yet issued: unknown
-        }
-        wake = std::max(wake, cand);
-    }
-    if (wake == 0)
-        return true;
-    f.sleepUntil = wake;
-    return false;
+    return const_cast<Inflight *>(std::as_const(*this).liveOp(slot, seq));
 }
 
 Cycle
@@ -244,16 +177,18 @@ Core::validateLoad(Inflight &f)
 bool
 Core::completeStage()
 {
-    if (st.issuedNotDone == 0)
-        return false;
+    // Ops completing in the same cycle pop oldest first: validating
+    // an older load may squash the younger ones mid-batch, which
+    // drops them from the calendar.
     bool any = false;
-    for (std::size_t i = 0; i < st.rob.size(); ++i) {
-        Inflight &f = st.rob[i];
-        if (!f.issued || f.done || f.doneCycle > st.now)
-            continue;
+    while (!completions.empty() && completions.top().cycle <= st.now) {
+        const std::uint32_t slot = completions.top().slot;
+        completions.pop();
+        Inflight &f = st.rob.atSlot(slot);
         f.done = true;
         --st.issuedNotDone;
         any = true;
+        wakeConsumers(slot);
         const MicroOp &op = opOf(f);
 
         if (f.branchMispredicted) {
@@ -282,23 +217,30 @@ Core::issueStage(unsigned &ls_used)
     if (st.iqCount == 0)
         return false;
 
+    // Ops whose operands and front-end delay are due join the ready
+    // list at the start of the cycle.
+    while (!wakeups.empty() && wakeups.top().cycle <= st.now) {
+        ready.set(wakeups.top().slot);
+        wakeups.pop();
+    }
+
     const unsigned alu_lanes = cfg.issueWidth - cfg.lsLanes;
 
-    for (std::size_t i = 0;
-         i < st.rob.size() && issued_count < cfg.issueWidth; ++i) {
-        Inflight &f = st.rob[i];
-        if (!f.inIQ || st.now < f.minIssueCycle ||
-            st.now < f.sleepUntil)
-            continue;
+    // Oldest first over the ready list only: everything on it has its
+    // operands and is past minIssueCycle, so the remaining tests are
+    // the per-cycle issue rules.
+    for (std::size_t i = ready.next(st.rob, 0);
+         i < st.rob.size() && issued_count < cfg.issueWidth;
+         i = ready.next(st.rob, i + 1)) {
+        const std::uint32_t slot = std::uint32_t(st.rob.slotOf(i));
+        Inflight &f = st.rob.atSlot(slot);
         const MicroOp &op = opOf(f);
         const bool is_ls = op.isLoad() || op.isStore();
         if (is_ls && ls_used >= cfg.lsLanes)
             continue;
         if (!is_ls && alu_used >= alu_lanes)
             continue;
-        if (!depsReady(f))
-            continue;
-        if (op.cls == OpClass::Barrier && f.seq != st.rob.front().seq)
+        if (op.cls == OpClass::Barrier && i != 0)
             continue; // barriers issue only when oldest
 
         Cycle lat = execLatency(f);
@@ -318,7 +260,8 @@ Core::issueStage(unsigned &ls_used)
                 }
             }
             if (conflict) {
-                const Inflight *store = findBySeqConst(conflict->seq);
+                const Inflight *store =
+                    liveOp(conflict->robSlot, conflict->seq);
                 const bool resolved = store && store->issued;
                 if (!resolved) {
                     if (memdep.shouldWait(op.pc))
@@ -343,6 +286,9 @@ Core::issueStage(unsigned &ls_used)
         f.inIQ = false;
         f.issued = true;
         f.doneCycle = st.now + std::max<Cycle>(1, lat);
+        ready.reset(slot);
+        iqSlots.reset(slot);
+        completions.push({f.doneCycle, f.seq, slot});
         --st.iqCount;
         ++st.issuedNotDone;
         ++issued_count;
@@ -376,7 +322,7 @@ Core::checkStoreOrderViolation(const Inflight &store)
         const MemQEntry &e = *it;
         if (!rangesOverlap(e.addr, e.size, sop.effAddr, sop.memSize))
             continue;
-        Inflight *ld = findBySeq(e.seq);
+        Inflight *ld = liveOp(e.robSlot, e.seq);
         if (!ld || !ld->issued || !ld->speculativeLoad)
             continue;
         ++st.stats.memOrderFlushes;
@@ -402,7 +348,7 @@ Core::paqStage(unsigned ls_used)
         const PaqEntry e = st.paq.front();
         st.paq.pop_front();
         --slots;
-        Inflight *f = findBySeq(e.seq);
+        Inflight *f = liveOp(e.robSlot, e.seq);
         if (!f || !f->paqPending || f->done)
             continue;
         f->paqPending = false;
@@ -427,7 +373,7 @@ Core::paqStage(unsigned ls_used)
             if (!rangesOverlap(e.addr, op.memSize, it->addr,
                                it->size))
                 continue;
-            const Inflight *store = findBySeqConst(it->seq);
+            const Inflight *store = liveOp(it->robSlot, it->seq);
             conflict = store && !store->issued;
             break;
         }
@@ -440,6 +386,8 @@ Core::paqStage(unsigned ls_used)
         // The delivered value is wrong iff the predicted address was
         // wrong (validated when the load executes).
         f->vpWrong = e.addr != op.effAddr;
+        // The value may now reach consumers before the load executes.
+        wakeConsumers(e.robSlot);
     }
     return any;
 }
@@ -464,26 +412,33 @@ Core::dispatchStage()
         if (op.isStore() && st.stq.size() >= cfg.stqSize)
             break;
 
+        // The ROB slot this op is about to occupy: its handle.
+        const std::uint32_t slot =
+            std::uint32_t(st.rob.slotOf(st.rob.size()));
+
         // Rename: resolve sources against the last writers.
         for (unsigned s = 0; s < f.depSeq.size(); ++s) {
             const RegId r = op.src[s];
             f.depSeq[s] = (r == invalidReg) ? 0 : st.lastWriter[r];
+            f.depSlot[s] = (r == invalidReg) ? noSlot : lastWriterSlot[r];
         }
-        if (op.dst != invalidReg)
+        if (op.dst != invalidReg) {
             st.lastWriter[op.dst] = f.seq;
+            lastWriterSlot[op.dst] = slot;
+        }
 
         f.inIQ = true;
         ++st.iqCount;
         if (op.isLoad())
-            st.ldq.push_back({f.seq, op.effAddr, op.memSize});
+            st.ldq.push_back({f.seq, op.effAddr, op.memSize, slot});
         if (op.isStore())
-            st.stq.push_back({f.seq, op.effAddr, op.memSize});
+            st.stq.push_back({f.seq, op.effAddr, op.memSize, slot});
 
         // Address predictions enter the PAQ here (paper step 2).
         if (f.pred.isAddress()) {
             if (st.paq.size() < cfg.paqSize) {
                 f.paqPending = true;
-                st.paq.push_back({f.seq, f.pred.addr});
+                st.paq.push_back({f.seq, f.pred.addr, slot});
             } else {
                 ++st.stats.paqDropsFull;
                 f.pred = Prediction{};
@@ -492,6 +447,8 @@ Core::dispatchStage()
 
         st.rob.push_back(f);
         st.fetchBuf.pop_front();
+        iqSlots.set(slot);
+        scheduleOp(slot);
         ++n;
     }
     return n > 0;
@@ -640,6 +597,16 @@ Core::squashYoungerThan(InstSeqNum oldest_squashed,
 
     while (!st.rob.empty() && st.rob.back().seq >= oldest_squashed) {
         Inflight &f = st.rob.back();
+        const std::uint32_t slot =
+            std::uint32_t(st.rob.slotOf(st.rob.size() - 1));
+        // Youngest first, so every op that waited on this one is
+        // already gone.
+        LVPSIM_CHECK(waits[slot].head == noSlot,
+                     "squashed producer still has waiters");
+        if (waits[slot].on != noSlot)
+            stopWaiting(slot);
+        ready.reset(slot);
+        iqSlots.reset(slot);
         if (f.inIQ)
             --st.iqCount;
         if (f.issued && !f.done)
@@ -665,6 +632,8 @@ Core::squashYoungerThan(InstSeqNum oldest_squashed,
     // its tail.
     while (!st.paq.empty() && st.paq.back().seq >= oldest_squashed)
         st.paq.pop_back();
+    wakeups.dropFrom(oldest_squashed);
+    completions.dropFrom(oldest_squashed);
 
     if (st.refetchStash.size() > st.stats.refetchStashPeak)
         st.stats.refetchStashPeak = st.refetchStash.size();
@@ -687,10 +656,144 @@ void
 Core::rebuildRenameMap()
 {
     st.lastWriter.fill(0);
-    for (const Inflight &f : st.rob) {
+    lastWriterSlot.fill(noSlot);
+    for (std::size_t i = 0; i < st.rob.size(); ++i) {
+        const Inflight &f = st.rob[i];
         const MicroOp &op = opOf(f);
-        if (op.dst != invalidReg)
+        if (op.dst != invalidReg) {
             st.lastWriter[op.dst] = f.seq;
+            lastWriterSlot[op.dst] = std::uint32_t(st.rob.slotOf(i));
+        }
+    }
+}
+
+// --------------------------------------------------------------------
+// Event-driven scheduling
+// --------------------------------------------------------------------
+
+void
+Core::scheduleOp(std::uint32_t slot)
+{
+    // Place an IQ op by its operands as of now. A producer that left
+    // the ROB, has delivered its predicted value, or has completed is
+    // ready. A delivered value that is still in flight has a known
+    // ready cycle, so the op is timed: vpReadyCycle, or doneCycle if
+    // the producer already issued and that is sooner. (With the
+    // modelled latencies a producer that issues after its PAQ probe
+    // cannot complete before the probed value arrives.) Any other
+    // producer's ready cycle is unknown until it completes or a PAQ
+    // probe delivers its value, so the op waits on its wakeup list.
+    const Inflight &c = st.rob.atSlot(slot);
+    Cycle when = c.minIssueCycle;
+    for (unsigned k = 0; k < c.depSeq.size(); ++k) {
+        if (c.depSeq[k] == 0)
+            continue;
+        const Inflight *p = liveOp(c.depSlot[k], c.depSeq[k]);
+        if (!p)
+            continue; // producer committed (or squashed): ready
+        if (p->vpDelivered && p->vpReadyCycle <= st.now)
+            continue;
+        if (p->done && p->doneCycle <= st.now)
+            continue;
+        if (!p->vpDelivered) {
+            waitOn(slot, c.depSlot[k]);
+            return;
+        }
+        Cycle at = p->vpReadyCycle;
+        if (p->issued)
+            at = std::min(at, p->doneCycle);
+        when = std::max(when, at);
+    }
+    if (when <= st.now)
+        ready.set(slot);
+    else
+        wakeups.push({when, c.seq, slot});
+}
+
+void
+Core::waitOn(std::uint32_t consumer, std::uint32_t producer)
+{
+    WaitLinks &c = waits[consumer];
+    WaitLinks &p = waits[producer];
+    c.on = producer;
+    c.prev = noSlot;
+    c.next = p.head;
+    if (p.head != noSlot)
+        waits[p.head].prev = consumer;
+    p.head = consumer;
+}
+
+void
+Core::stopWaiting(std::uint32_t consumer)
+{
+    WaitLinks &c = waits[consumer];
+    if (c.prev != noSlot)
+        waits[c.prev].next = c.next;
+    else
+        waits[c.on].head = c.next;
+    if (c.next != noSlot)
+        waits[c.next].prev = c.prev;
+    c.on = c.next = c.prev = noSlot;
+}
+
+void
+Core::wakeConsumers(std::uint32_t producer)
+{
+    std::uint32_t c = waits[producer].head;
+    waits[producer].head = noSlot;
+    while (c != noSlot) {
+        const std::uint32_t next = waits[c].next;
+        waits[c].on = waits[c].next = waits[c].prev = noSlot;
+        scheduleOp(c); // may wait again, on another producer
+        c = next;
+    }
+}
+
+void
+Core::rebuildSchedule()
+{
+    // Rebuild every scheduler index from st alone. Slot handles in
+    // the queues are re-derived from seqs too: decoding a snapshot
+    // repacks each ring from slot 0, so saved handles can be stale.
+    const std::size_t cap = st.rob.capacity();
+    ready.configure(cap);
+    iqSlots.configure(cap);
+    waits.assign(cap, WaitLinks{});
+    wakeups.clear();
+    wakeups.reserve(cap);
+    completions.clear();
+    completions.reserve(cap);
+
+    auto slot_of_seq = [&](InstSeqNum seq) {
+        const auto it = std::lower_bound(
+            st.rob.begin(), st.rob.end(), seq,
+            [](const Inflight &f, InstSeqNum s) { return f.seq < s; });
+        return it != st.rob.end() && it->seq == seq
+                   ? std::uint32_t(st.rob.slotOf(
+                         std::size_t(it - st.rob.begin())))
+                   : noSlot;
+    };
+    for (std::size_t r = 0; r < lastWriterSlot.size(); ++r)
+        lastWriterSlot[r] = slot_of_seq(st.lastWriter[r]);
+    for (Inflight &f : st.rob)
+        for (unsigned k = 0; k < f.depSeq.size(); ++k)
+            f.depSlot[k] = slot_of_seq(f.depSeq[k]);
+    for (MemQEntry &e : st.ldq)
+        e.robSlot = slot_of_seq(e.seq);
+    for (MemQEntry &e : st.stq)
+        e.robSlot = slot_of_seq(e.seq);
+    for (PaqEntry &e : st.paq)
+        e.robSlot = slot_of_seq(e.seq);
+
+    for (std::size_t i = 0; i < st.rob.size(); ++i) {
+        const Inflight &f = st.rob[i];
+        const auto slot = std::uint32_t(st.rob.slotOf(i));
+        if (f.issued && !f.done)
+            completions.push({f.doneCycle, f.seq, slot});
+        if (f.inIQ) {
+            iqSlots.set(slot);
+            scheduleOp(slot);
+        }
     }
 }
 
@@ -794,16 +897,103 @@ Core::checkFullInvariants() const
     for (const MemQEntry &e : st.ldq) {
         LVPSIM_CHECK(e.seq > prev, "LDQ not in seq order");
         prev = e.seq;
-        LVPSIM_CHECK(findBySeqConst(e.seq) != nullptr,
-                     "LDQ entry seq %llu not in ROB",
+        LVPSIM_CHECK(liveOp(e.robSlot, e.seq) != nullptr,
+                     "LDQ entry seq %llu has no live ROB handle",
                      static_cast<unsigned long long>(e.seq));
     }
     prev = 0;
     for (const MemQEntry &e : st.stq) {
         LVPSIM_CHECK(e.seq > prev, "STQ not in seq order");
         prev = e.seq;
-        LVPSIM_CHECK(findBySeqConst(e.seq) != nullptr,
-                     "STQ entry seq %llu not in ROB",
+        LVPSIM_CHECK(liveOp(e.robSlot, e.seq) != nullptr,
+                     "STQ entry seq %llu has no live ROB handle",
+                     static_cast<unsigned long long>(e.seq));
+    }
+    checkScheduleInvariants();
+}
+
+void
+Core::checkScheduleInvariants() const
+{
+    // Every IQ op is in exactly one place: on one producer's wakeup
+    // list, in the wakeup calendar, or on the ready list. Issued ops
+    // that have not completed are exactly the completion calendar.
+    std::size_t n_ready = 0, n_waiting = 0;
+    Cycle prev_min_issue = 0;
+    for (std::size_t i = 0; i < st.rob.size(); ++i) {
+        const Inflight &f = st.rob[i];
+        const std::size_t slot = st.rob.slotOf(i);
+        const WaitLinks &w = waits[slot];
+        LVPSIM_CHECK(f.minIssueCycle >= prev_min_issue,
+                     "minIssueCycle not monotone along the ROB");
+        prev_min_issue = f.minIssueCycle;
+        LVPSIM_CHECK(iqSlots.test(slot) == f.inIQ,
+                     "IQ set out of sync (seq %llu)",
+                     static_cast<unsigned long long>(f.seq));
+        const bool is_ready = ready.test(slot);
+        const bool is_waiting = w.on != noSlot;
+        LVPSIM_CHECK(!(is_ready || is_waiting) || f.inIQ,
+                     "non-IQ op scheduled (seq %llu)",
+                     static_cast<unsigned long long>(f.seq));
+        LVPSIM_CHECK(!(is_ready && is_waiting),
+                     "op both ready and waiting (seq %llu)",
+                     static_cast<unsigned long long>(f.seq));
+        LVPSIM_CHECK(!is_ready || f.minIssueCycle <= st.now,
+                     "ready op before its minIssueCycle");
+        n_ready += is_ready ? 1 : 0;
+        if (is_waiting) {
+            ++n_waiting;
+            const Inflight &p = st.rob.atSlot(w.on);
+            LVPSIM_CHECK(st.rob.liveSlot(w.on) && p.seq < f.seq &&
+                             !p.done && !p.vpDelivered,
+                         "op %llu waits on a resolved producer",
+                         static_cast<unsigned long long>(f.seq));
+        }
+        // This op's own wakeup list: consistent links, each waiter
+        // pointing back here.
+        std::uint32_t prev = noSlot;
+        for (std::uint32_t c = w.head; c != noSlot; c = waits[c].next) {
+            LVPSIM_CHECK(waits[c].on == slot && waits[c].prev == prev,
+                         "wakeup list of seq %llu is corrupt",
+                         static_cast<unsigned long long>(f.seq));
+            prev = c;
+        }
+    }
+    // Slots outside the live window carry nothing.
+    for (std::size_t slot = 0; slot < st.rob.capacity(); ++slot) {
+        if (st.rob.liveSlot(slot))
+            continue;
+        LVPSIM_CHECK(!ready.test(slot) && !iqSlots.test(slot) &&
+                         waits[slot].on == noSlot &&
+                         waits[slot].head == noSlot,
+                     "dead ROB slot %zu still scheduled", slot);
+    }
+    const auto &timed = wakeups.entries();
+    for (std::size_t i = 0; i < timed.size(); ++i) {
+        const SlotEvent &e = timed[i];
+        const Inflight *f = liveOp(e.slot, e.seq);
+        LVPSIM_CHECK(f && f->inIQ && !ready.test(e.slot) &&
+                         waits[e.slot].on == noSlot && e.cycle > st.now,
+                     "stale wakeup (seq %llu)",
+                     static_cast<unsigned long long>(e.seq));
+        for (std::size_t j = 0; j < i; ++j)
+            LVPSIM_CHECK(timed[j].slot != e.slot,
+                         "op %llu timed twice",
+                         static_cast<unsigned long long>(e.seq));
+    }
+    LVPSIM_CHECK(n_ready + n_waiting + timed.size() == st.iqCount,
+                 "IQ ops unaccounted: %zu ready + %zu waiting + %zu "
+                 "timed != %u",
+                 n_ready, n_waiting, timed.size(), st.iqCount);
+    LVPSIM_CHECK(completions.size() == st.issuedNotDone,
+                 "completion calendar holds %zu, issuedNotDone %llu",
+                 completions.size(),
+                 static_cast<unsigned long long>(st.issuedNotDone));
+    for (const SlotEvent &e : completions.entries()) {
+        const Inflight *f = liveOp(e.slot, e.seq);
+        LVPSIM_CHECK(f && f->issued && !f->done &&
+                         f->doneCycle == e.cycle && e.cycle > st.now,
+                     "stale completion (seq %llu)",
                      static_cast<unsigned long long>(e.seq));
     }
 }
@@ -815,18 +1005,23 @@ Core::checkFullInvariants() const
 Cycle
 Core::nextEventCycle() const
 {
+    // The earliest of: the next completion, the smallest minIssueCycle
+    // in the IQ (minIssueCycle grows with age, so the oldest IQ op's),
+    // and the front end's next step (fetch cycles grow along the
+    // fetch buffer too). Timed wakeups need no term of their own:
+    // each is at or after its op's minIssueCycle. The target must be
+    // exact, because idle cycles have side effects (paqStage spends
+    // LS slots popping dead PAQ entries).
     Cycle next = std::numeric_limits<Cycle>::max();
-    for (const Inflight &f : st.rob) {
-        if (f.issued && !f.done)
-            next = std::min(next, f.doneCycle);
-        else if (f.inIQ)
-            next = std::min(next, f.minIssueCycle);
-    }
+    if (!completions.empty())
+        next = completions.top().cycle;
+    if (st.iqCount > 0)
+        next = std::min(next, st.rob[iqSlots.next(st.rob, 0)].minIssueCycle);
     if (st.fetchResumeCycle > st.now &&
         (st.fetchIdx < code.size() || !st.fetchBuf.empty()))
         next = std::min(next, st.fetchResumeCycle);
-    for (const Inflight &f : st.fetchBuf)
-        next = std::min(next, f.fetchCycle + 1);
+    if (!st.fetchBuf.empty())
+        next = std::min(next, st.fetchBuf.front().fetchCycle + 1);
     return next;
 }
 
@@ -1066,6 +1261,7 @@ Core::restoreState(const Snapshot &s)
     ittage.restoreState(s.ittage);
     ras.restoreState(s.ras);
     st = s.pipeline;
+    rebuildSchedule();
 }
 
 } // namespace pipe

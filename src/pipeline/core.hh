@@ -23,7 +23,9 @@
 
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -161,12 +163,15 @@ class Core
         Cycle fetchCycle = 0;
         Cycle minIssueCycle = 0;
         Cycle doneCycle = 0;
-        Cycle sleepUntil = 0; ///< dependency wake-up hint (issue scan)
         bool inIQ = false;
         bool issued = false;
         bool done = false;
 
+        /// Source producers, set at rename: seq 0 = no producer. Each
+        /// is named by its ROB slot handle, valid while the slot still
+        /// holds that seq (see liveOp).
         std::array<InstSeqNum, 3> depSeq{0, 0, 0};
+        std::array<std::uint32_t, 3> depSlot{0, 0, 0};
 
         bool branchMispredicted = false;
 
@@ -183,38 +188,42 @@ class Core
         void
         fields(V &v)
         {
-            v(traceIdx, seq, fetchCycle, minIssueCycle, doneCycle,
-              sleepUntil, inIQ, issued, done, depSeq, branchMispredicted,
-              pred, token, vpDelivered, vpReadyCycle, vpWrong, paqPending,
+            v(traceIdx, seq, fetchCycle, minIssueCycle, doneCycle, inIQ,
+              issued, done, depSeq, depSlot, branchMispredicted, pred,
+              token, vpDelivered, vpReadyCycle, vpWrong, paqPending,
               speculativeLoad);
         }
     };
 
+    /** A PAQ probe request; robSlot is its load's ROB slot handle. */
     struct PaqEntry
     {
         InstSeqNum seq = 0;
         Addr addr = 0;
+        std::uint32_t robSlot = 0;
 
         template <class V>
         void
         fields(V &v)
         {
-            v(seq, addr);
+            v(seq, addr, robSlot);
         }
     };
 
-    /** LDQ/STQ bookkeeping record (addresses known from the trace). */
+    /** LDQ/STQ bookkeeping record (addresses known from the trace);
+     *  robSlot is the memory op's ROB slot handle. */
     struct MemQEntry
     {
         InstSeqNum seq = 0;
         Addr addr = 0;
         unsigned size = 0;
+        std::uint32_t robSlot = 0;
 
         template <class V>
         void
         fields(V &v)
         {
-            v(seq, addr, size);
+            v(seq, addr, size, robSlot);
         }
     };
 
@@ -339,10 +348,10 @@ class Core
     bool fetchStage();
 
     // Helpers.
-    std::size_t robIndexOfSeq(InstSeqNum seq) const;
-    Inflight *findBySeq(InstSeqNum seq);
-    const Inflight *findBySeqConst(InstSeqNum seq) const;
-    bool depsReady(Inflight &f) const;
+    /** The ROB op behind a slot handle, or nullptr once that op has
+     *  left the ROB (the slot is empty or holds another seq). */
+    Inflight *liveOp(std::uint32_t slot, InstSeqNum seq);
+    const Inflight *liveOp(std::uint32_t slot, InstSeqNum seq) const;
     Cycle execLatency(const Inflight &f);
     void fetchOne();
     void squashYoungerThan(InstSeqNum oldest_squashed,
@@ -352,16 +361,25 @@ class Core
     void checkStoreOrderViolation(const Inflight &store);
     Cycle nextEventCycle() const;
 
+    // Event-driven scheduling (see docs/performance.md).
+    void scheduleOp(std::uint32_t slot);
+    void waitOn(std::uint32_t consumer, std::uint32_t producer);
+    void stopWaiting(std::uint32_t consumer);
+    void wakeConsumers(std::uint32_t producer);
+    void rebuildSchedule();
+
     /**
      * Pipeline invariants, compiled in via LVPSIM_ASSERTIONS (see
      * common/check.hh). checkCycleInvariants is O(1) and runs every
      * cycle: structure occupancies never exceed their configured
      * capacities (ROB/IQ/LDQ/STQ/PAQ/fetch buffer). The O(window)
      * structural cross-checks (seq ordering, queue/ROB sync, IQ
-     * recount) run every `fullCheckPeriod` cycles.
+     * recount, and the scheduler's wakeup lists, ready list and
+     * calendars against the ROB) run every `fullCheckPeriod` cycles.
      */
     void checkCycleInvariants() const;
     void checkFullInvariants() const;
+    void checkScheduleInvariants() const;
     static constexpr Cycle fullCheckPeriod = 1024;
 
     bool rangesOverlap(Addr a, unsigned asz, Addr b, unsigned bsz) const
@@ -385,6 +403,129 @@ class Core
     branch::ReturnAddressStack ras;
 
     State st;
+
+    /// "No slot": a handle that is never live.
+    static constexpr std::uint32_t noSlot = ~std::uint32_t(0);
+
+    /** A bit per ROB slot. Walking it from the ROB head visits set
+     *  slots oldest first, so it doubles as an age-ordered list. */
+    class SlotSet
+    {
+      public:
+        void
+        configure(std::size_t slots)
+        {
+            words.assign((slots + 63) / 64, 0);
+        }
+        void set(std::size_t s) { words[s >> 6] |= bit(s); }
+        void reset(std::size_t s) { words[s >> 6] &= ~bit(s); }
+        bool test(std::size_t s) const { return words[s >> 6] & bit(s); }
+
+        /** Logical index (ROB position) of the oldest set slot at or
+         *  after position @p from, or rob.size() if there is none. */
+        std::size_t
+        next(const RingBuffer<Inflight> &rob, std::size_t from) const
+        {
+            const std::size_t cap = rob.capacity();
+            while (from < rob.size()) {
+                const std::size_t p = rob.slotOf(from);
+                const std::size_t b = p & 63;
+                const std::uint64_t w = words[p >> 6] >> b;
+                if (w)
+                    return from + std::size_t(std::countr_zero(w));
+                from += std::min<std::size_t>(64 - b, cap - p);
+            }
+            return rob.size();
+        }
+
+      private:
+        static std::uint64_t bit(std::size_t s)
+        {
+            return std::uint64_t(1) << (s & 63);
+        }
+        std::vector<std::uint64_t> words;
+    };
+
+    /** A ROB slot due at a cycle; min-heap order is (cycle, seq), so
+     *  same-cycle events pop oldest first. */
+    struct SlotEvent
+    {
+        Cycle cycle = 0;
+        InstSeqNum seq = 0;
+        std::uint32_t slot = noSlot;
+    };
+
+    class EventQueue
+    {
+      public:
+        void reserve(std::size_t n) { heap.reserve(n); }
+        bool empty() const { return heap.empty(); }
+        std::size_t size() const { return heap.size(); }
+        const SlotEvent &top() const { return heap.front(); }
+        const std::vector<SlotEvent> &entries() const { return heap; }
+        void clear() { heap.clear(); }
+        void
+        push(const SlotEvent &e)
+        {
+            heap.push_back(e);
+            std::push_heap(heap.begin(), heap.end(), later);
+        }
+        void
+        pop()
+        {
+            std::pop_heap(heap.begin(), heap.end(), later);
+            heap.pop_back();
+        }
+        /** Drop every event of an op with seq >= @p oldest (squash). */
+        void
+        dropFrom(InstSeqNum oldest)
+        {
+            const auto end = std::remove_if(
+                heap.begin(), heap.end(),
+                [&](const SlotEvent &e) { return e.seq >= oldest; });
+            if (end == heap.end())
+                return;
+            heap.erase(end, heap.end());
+            std::make_heap(heap.begin(), heap.end(), later);
+        }
+
+      private:
+        static bool
+        later(const SlotEvent &a, const SlotEvent &b)
+        {
+            return a.cycle != b.cycle ? a.cycle > b.cycle : a.seq > b.seq;
+        }
+        std::vector<SlotEvent> heap;
+    };
+
+    /** Wakeup-list links of one ROB slot: the op in it as a consumer
+     *  waiting on producer slot `on` (a doubly linked list through
+     *  next/prev), and as a producer, the first of its waiters. */
+    struct WaitLinks
+    {
+        std::uint32_t on = noSlot;
+        std::uint32_t next = noSlot;
+        std::uint32_t prev = noSlot;
+        std::uint32_t head = noSlot;
+    };
+
+    // The scheduler's indexes over st.rob. Every IQ op is in exactly
+    // one place: on a producer's wakeup list (its operand-ready cycle
+    // is not known yet), in `wakeups` (known, in the future), or in
+    // `ready`. Issued ops wait for completion in `completions`.
+    // lvplint: allow(state-snapshot) -- derived from st.rob, rebuilt by restoreState
+    SlotSet ready;
+    // lvplint: allow(state-snapshot) -- derived from st.rob, rebuilt by restoreState
+    SlotSet iqSlots;
+    // lvplint: allow(state-snapshot) -- derived from st.rob, rebuilt by restoreState
+    EventQueue wakeups;
+    // lvplint: allow(state-snapshot) -- derived from st.rob, rebuilt by restoreState
+    EventQueue completions;
+    // lvplint: allow(state-snapshot) -- derived from st.rob, rebuilt by restoreState
+    std::vector<WaitLinks> waits;
+    /// ROB slot of each register's last writer (st.lastWriter's seq).
+    // lvplint: allow(state-snapshot) -- derived from st.rob, rebuilt by restoreState
+    std::array<std::uint32_t, numArchRegs> lastWriterSlot{};
 
     /**
      * Upper bound on in-flight instructions (ROB plus fetch buffer):

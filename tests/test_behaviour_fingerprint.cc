@@ -1,0 +1,242 @@
+/**
+ * @file
+ * Behavioural fingerprint: pins what the simulator computes.
+ *
+ * Every (trace x core configuration x predictor) cell below is run at
+ * smoke scale and reduced to one FNV-1a hash over all of its
+ * forEachCounter() values. The cells cover the 28 kernels plus seeded
+ * qa::genTrace traces, the default core plus seeded qa::genCoreConfig
+ * cores (small queues, one LS lane, short front ends: the scheduler's
+ * edge cases), no value prediction, each component alone and the
+ * composite with every optimisation on, plus warmup-restored runs
+ * (through the binary snapshot codec) and sampled runs. The lines
+ * must equal tests/data/behaviour_fingerprint.txt exactly.
+ *
+ * A refactor that claims to be counter-exact leaves the file alone.
+ * A change that alters model behaviour on purpose regenerates it with
+ * tools/update_fingerprint.sh and says why. The test always writes
+ * what it computed to behaviour_fingerprint.actual.txt in its working
+ * directory, which is what that script copies.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/binio.hh"
+#include "core/composite.hh"
+#include "pipeline/core.hh"
+#include "pipeline/snapshot_io.hh"
+#include "qa/generators.hh"
+#include "sim/sampled.hh"
+#include "sim/simulator.hh"
+#include "trace/workloads.hh"
+
+using namespace lvpsim;
+
+namespace
+{
+
+constexpr std::size_t kTraceOps = 5000;
+constexpr std::size_t kWarmupOps = 1500;
+constexpr std::uint64_t kGenTraceSeeds[] = {11, 12, 13, 14, 15, 16};
+constexpr std::uint64_t kGenCoreSeeds[] = {101, 102, 103, 104};
+
+std::uint64_t
+fingerprint(const pipe::SimStats &s)
+{
+    std::uint64_t h = kFnvOffsetBasis;
+    pipe::forEachCounter(s, [&](std::string_view, std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= kFnvPrime;
+        }
+    });
+    return h;
+}
+
+std::string
+hex(std::uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+struct NamedTrace
+{
+    std::string name;
+    std::vector<trace::MicroOp> ops;
+};
+
+std::vector<NamedTrace>
+traces()
+{
+    std::vector<NamedTrace> out;
+    for (const auto &w : trace::allWorkloadNames())
+        out.push_back({w, trace::generateWorkload(w, kTraceOps, 1)});
+    for (std::uint64_t seed : kGenTraceSeeds) {
+        qa::Gen g(seed);
+        qa::TraceGenConfig tcfg;
+        tcfg.minOps = kTraceOps;
+        tcfg.maxOps = kTraceOps;
+        out.push_back(
+            {"gen" + std::to_string(seed), qa::genTrace(g, tcfg)});
+    }
+    return out;
+}
+
+std::vector<std::pair<std::string, pipe::CoreConfig>>
+coreConfigs()
+{
+    std::vector<std::pair<std::string, pipe::CoreConfig>> out;
+    out.emplace_back("default", pipe::CoreConfig{});
+    for (std::uint64_t seed : kGenCoreSeeds) {
+        qa::Gen g(seed);
+        out.emplace_back("core" + std::to_string(seed),
+                         qa::genCoreConfig(g));
+    }
+    return out;
+}
+
+/** The composite with PC-AM, smart training and table fusion, its
+ *  epoch scaled down so the filters act within a smoke-scale run. */
+std::unique_ptr<pipe::LoadValuePredictor>
+bestComposite()
+{
+    auto c = vp::CompositeConfig::bestOf(4096);
+    c.epochInstrs = 500;
+    return std::make_unique<vp::CompositePredictor>(c);
+}
+
+/** nullptr = the no-VP baseline. */
+std::unique_ptr<pipe::LoadValuePredictor>
+makePredictor(const std::string &name)
+{
+    if (name == "lvp")
+        return vp::makeSinglePredictor(pipe::ComponentId::LVP, 1024);
+    if (name == "sap")
+        return vp::makeSinglePredictor(pipe::ComponentId::SAP, 1024);
+    if (name == "cvp")
+        return vp::makeSinglePredictor(pipe::ComponentId::CVP, 1024);
+    if (name == "cap")
+        return vp::makeSinglePredictor(pipe::ComponentId::CAP, 1024);
+    if (name == "composite")
+        return bestComposite();
+    return nullptr;
+}
+
+const char *const kPredictors[] = {"novp", "lvp",  "sap",
+                                   "cvp",  "cap", "composite"};
+
+/** Warm a core (VP off), push its snapshot through the binary codec,
+ *  restore a fresh core from the decoded bytes and measure it. */
+pipe::SimStats
+warmRestoredRun(const pipe::CoreConfig &cfg,
+                const std::vector<trace::MicroOp> &ops)
+{
+    pipe::Core warm(cfg, ops, nullptr);
+    warm.warmup(kWarmupOps);
+    pipe::Core::Snapshot snap;
+    warm.saveState(snap);
+    BinWriter w;
+    pipe::serializeSnapshot(w, snap);
+    const auto bytes = w.take();
+    BinReader r(bytes);
+    pipe::Core::Snapshot decoded;
+    pipe::deserializeSnapshot(r, decoded);
+    EXPECT_TRUE(r.ok() && r.atEnd());
+
+    auto vp = bestComposite();
+    pipe::Core core(cfg, ops, vp.get());
+    core.restoreState(decoded);
+    return core.run();
+}
+
+std::vector<std::string>
+computeFingerprint()
+{
+    std::vector<std::string> lines;
+    auto emit = [&](const std::string &t, const std::string &c,
+                    const std::string &p, const pipe::SimStats &s) {
+        lines.push_back(t + " " + c + " " + p + " " +
+                        hex(fingerprint(s)));
+    };
+    const auto cores = coreConfigs();
+    for (const auto &t : traces()) {
+        for (const auto &[cname, cfg] : cores) {
+            for (const char *p : kPredictors) {
+                auto vp = makePredictor(p);
+                pipe::Core core(cfg, t.ops, vp.get());
+                emit(t.name, cname, p, core.run());
+            }
+            emit(t.name, cname, "composite+warmup",
+                 warmRestoredRun(cfg, t.ops));
+        }
+    }
+    // Sampled runs go through the sim layer's plan, interval
+    // checkpoints and extrapolation.
+    for (const auto &w : trace::allWorkloadNames()) {
+        sim::RunConfig rc;
+        rc.maxInstrs = 6000;
+        rc.sampleK = 3;
+        rc.sampleIntervalLen = 1000;
+        auto vp = bestComposite();
+        emit(w, "default", "composite+sampled",
+             sim::runSampledWorkload(w, vp.get(), rc).stats);
+    }
+    return lines;
+}
+
+std::vector<std::string>
+readLines(const std::string &path)
+{
+    std::vector<std::string> out;
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);)
+        if (!line.empty() && line[0] != '#')
+            out.push_back(line);
+    return out;
+}
+
+} // anonymous namespace
+
+TEST(BehaviourFingerprint, MatchesCommittedFile)
+{
+    const auto actual = computeFingerprint();
+    {
+        std::ofstream out("behaviour_fingerprint.actual.txt");
+        out << "# trace core predictor fnv1a(forEachCounter values)\n";
+        for (const auto &l : actual)
+            out << l << "\n";
+    }
+    const auto expected = readLines(std::string(LVPSIM_TEST_DATA_DIR) +
+                                    "/behaviour_fingerprint.txt");
+    ASSERT_FALSE(expected.empty())
+        << "missing tests/data/behaviour_fingerprint.txt; run "
+           "tools/update_fingerprint.sh";
+    ASSERT_EQ(actual.size(), expected.size())
+        << "cell count changed; regenerate with "
+           "tools/update_fingerprint.sh if intended";
+    std::ostringstream diff;
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+        if (actual[i] == expected[i])
+            continue;
+        if (++mismatches <= 20)
+            diff << "  expected " << expected[i] << "\n  actual   "
+                 << actual[i] << "\n";
+    }
+    EXPECT_EQ(mismatches, 0u)
+        << mismatches << " of " << actual.size()
+        << " cells changed behaviour:\n"
+        << diff.str();
+}

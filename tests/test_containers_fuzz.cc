@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -40,6 +41,14 @@ fuzzRingAgainstDeque(std::uint64_t seed, std::size_t capacity,
     RingBuffer<std::uint64_t> rb(capacity);
     std::deque<std::uint64_t> ref;
     std::uint64_t next = 0;
+    // Slot handles taken at push, checked like the core checks them:
+    // slot plus identity. Values are unique, so a handle is live iff
+    // its value is still in the deque.
+    std::vector<std::pair<std::size_t, std::uint64_t>> handles;
+    auto handle_live = [&](const std::pair<std::size_t,
+                                           std::uint64_t> &h) {
+        return rb.liveSlot(h.first) && rb.atSlot(h.first) == h.second;
+    };
 
     for (std::size_t step = 0; step < steps; ++step) {
         const std::uint64_t roll = rng() % 100;
@@ -47,6 +56,10 @@ fuzzRingAgainstDeque(std::uint64_t seed, std::size_t capacity,
             if (ref.size() < rb.capacity()) {
                 rb.push_back(next);
                 ref.push_back(next);
+                handles.emplace_back(rb.slotOf(rb.size() - 1), next);
+                if (handles.size() > 4 * rb.capacity())
+                    handles.erase(handles.begin(),
+                                  handles.begin() + rb.capacity());
                 ++next;
             }
         } else if (roll < 80) { // pop_front
@@ -66,6 +79,19 @@ fuzzRingAgainstDeque(std::uint64_t seed, std::size_t capacity,
             if (!ref.empty()) {
                 const std::size_t i = rng() % ref.size();
                 ASSERT_EQ(rb[i], ref[i]);
+            }
+        } else if (roll < 97) { // every handle: valid until popped
+            for (const auto &h : handles) {
+                const bool in_ref =
+                    !ref.empty() && h.second >= ref.front() &&
+                    h.second <= ref.back() &&
+                    std::binary_search(ref.begin(), ref.end(),
+                                       h.second);
+                ASSERT_EQ(handle_live(h), in_ref) << h.second;
+            }
+            for (std::size_t i = 0; i < ref.size(); ++i) {
+                ASSERT_TRUE(rb.liveSlot(rb.slotOf(i)));
+                ASSERT_EQ(rb.atSlot(rb.slotOf(i)), ref[i]);
             }
         } else { // full scan through iterators
             ASSERT_TRUE(std::equal(rb.begin(), rb.end(),

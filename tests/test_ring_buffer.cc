@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for common/ring_buffer.hh: wraparound, full/empty
- * boundaries, reference stability across pops, and the random-access
- * iterator contract the core's std::lower_bound searches rely on.
+ * boundaries, reference stability across pops, slot handles, and the
+ * random-access iterator contract std::lower_bound relies on.
  */
 
 #include <algorithm>
@@ -98,6 +98,53 @@ TEST(RingBuffer, ReferencesStableAcrossOtherPushesAndPops)
     rb.push_back(7);
     EXPECT_EQ(*third, 3);
     EXPECT_EQ(&rb[1], third); // same slot, new logical index
+}
+
+TEST(RingBuffer, SlotHandlesNameElementsUntilTheyPop)
+{
+    RingBuffer<int> rb(4);
+    for (int i = 0; i < 3; ++i)
+        rb.push_back(i);
+    rb.pop_front(); // logical [1, 2] in slots 1, 2
+    const std::size_t h1 = rb.slotOf(0), h2 = rb.slotOf(1);
+    EXPECT_EQ(h1, 1u);
+    EXPECT_EQ(h2, 2u);
+    EXPECT_FALSE(rb.liveSlot(0)); // popped
+    EXPECT_FALSE(rb.liveSlot(3)); // never filled
+    EXPECT_FALSE(rb.liveSlot(4)); // out of range
+    rb.push_back(3);
+    rb.push_back(4); // wraps into slot 0
+    EXPECT_EQ(rb.slotOf(3), 0u);
+    EXPECT_TRUE(rb.liveSlot(0));
+    // Handles survive pushes and pops of other elements.
+    EXPECT_EQ(rb.atSlot(h1), 1);
+    EXPECT_EQ(rb.atSlot(h2), 2);
+    EXPECT_EQ(&rb.atSlot(h2), &rb[1]);
+    rb.pop_back(); // slot 0 dies
+    EXPECT_FALSE(rb.liveSlot(0));
+    rb.pop_front(); // slot 1 dies
+    EXPECT_FALSE(rb.liveSlot(h1));
+    EXPECT_TRUE(rb.liveSlot(h2));
+    EXPECT_EQ(rb.atSlot(h2), 2);
+    const RingBuffer<int> &crb = rb;
+    EXPECT_EQ(crb.atSlot(crb.slotOf(1)), 3);
+}
+
+TEST(RingBuffer, FullRingHasEverySlotLive)
+{
+    RingBuffer<int> rb(8);
+    for (int i = 0; i < 11; ++i) {
+        rb.push_back(i);
+        if (rb.size() > 5)
+            rb.pop_front();
+    }
+    while (rb.size() < rb.capacity())
+        rb.push_back(0);
+    for (std::size_t p = 0; p < rb.capacity(); ++p)
+        EXPECT_TRUE(rb.liveSlot(p)) << p;
+    rb.clear();
+    for (std::size_t p = 0; p < rb.capacity(); ++p)
+        EXPECT_FALSE(rb.liveSlot(p)) << p;
 }
 
 TEST(RingBuffer, IteratorsAreRandomAccess)
