@@ -8,9 +8,12 @@
  * qa::genTrace traces, the default core plus seeded qa::genCoreConfig
  * cores (small queues, one LS lane, short front ends: the scheduler's
  * edge cases), no value prediction, each component alone and the
- * composite with every optimisation on, plus warmup-restored runs
- * (through the binary snapshot codec) and sampled runs. The lines
- * must equal tests/data/behaviour_fingerprint.txt exactly.
+ * composite with every optimisation on, EVES, plus warmup-restored
+ * runs (through the binary snapshot codec), sampled runs and a
+ * warmup suite run through sim::SuiteRunner and the process-wide
+ * memos. The lines must equal tests/data/behaviour_fingerprint.txt
+ * exactly, and the suite lines must not move with --jobs 4 or when
+ * the memos are served from a cold or warm disk store.
  *
  * A refactor that claims to be counter-exact leaves the file alone.
  * A change that alters model behaviour on purpose regenerates it with
@@ -31,10 +34,14 @@
 #include <vector>
 
 #include "common/binio.hh"
+#include "common/mmap_file.hh"
 #include "core/composite.hh"
+#include "core/eves.hh"
 #include "pipeline/core.hh"
 #include "pipeline/snapshot_io.hh"
 #include "qa/generators.hh"
+#include "sim/checkpoint_store.hh"
+#include "sim/experiment.hh"
 #include "sim/sampled.hh"
 #include "sim/simulator.hh"
 #include "trace/workloads.hh"
@@ -161,17 +168,49 @@ warmRestoredRun(const pipe::CoreConfig &cfg,
     return core.run();
 }
 
+std::string
+line(const std::string &t, const std::string &c, const std::string &p,
+     const pipe::SimStats &s)
+{
+    return t + " " + c + " " + p + " " + hex(fingerprint(s));
+}
+
+/**
+ * The 28 kernels behind a warmup region, run through sim::SuiteRunner
+ * with the memos cleared first, so every cell goes through
+ * BaselineCache, CheckpointCache and (when enabled) the disk store.
+ */
+std::vector<std::string>
+suiteLines(std::size_t jobs)
+{
+    sim::CheckpointCache::instance().clear();
+    sim::BaselineCache::instance().clear();
+    sim::RunConfig rc;
+    rc.maxInstrs = kTraceOps;
+    rc.warmupInstrs = kWarmupOps;
+    sim::SuiteRunner runner(trace::allWorkloadNames(), rc, jobs);
+    const auto res = runner.run("composite", bestComposite);
+    std::vector<std::string> lines;
+    for (const auto &row : res.rows) {
+        lines.push_back(line(row.workload, "default", "novp+suite",
+                             row.base));
+        lines.push_back(line(row.workload, "default",
+                             "composite+suite", row.withVp));
+    }
+    return lines;
+}
+
 std::vector<std::string>
 computeFingerprint()
 {
     std::vector<std::string> lines;
     auto emit = [&](const std::string &t, const std::string &c,
                     const std::string &p, const pipe::SimStats &s) {
-        lines.push_back(t + " " + c + " " + p + " " +
-                        hex(fingerprint(s)));
+        lines.push_back(line(t, c, p, s));
     };
     const auto cores = coreConfigs();
-    for (const auto &t : traces()) {
+    const auto allTraces = traces();
+    for (const auto &t : allTraces) {
         for (const auto &[cname, cfg] : cores) {
             for (const char *p : kPredictors) {
                 auto vp = makePredictor(p);
@@ -193,7 +232,24 @@ computeFingerprint()
         emit(w, "default", "composite+sampled",
              sim::runSampledWorkload(w, vp.get(), rc).stats);
     }
+    for (const auto &t : allTraces) {
+        vp::EvesPredictor eves;
+        pipe::Core core(pipe::CoreConfig{}, t.ops, &eves);
+        emit(t.name, "default", "eves", core.run());
+    }
+    sim::CheckpointStore::instance().configure("", 0);
+    for (auto &l : suiteLines(1))
+        lines.push_back(std::move(l));
     return lines;
+}
+
+/** Remove @p dir and the entry files directly inside it. */
+void
+wipeDir(const std::string &dir)
+{
+    for (const DirEntry &e : listDir(dir))
+        removeFile(dir + "/" + e.name);
+    removeFile(dir);
 }
 
 std::vector<std::string>
@@ -239,4 +295,26 @@ TEST(BehaviourFingerprint, MatchesCommittedFile)
         << mismatches << " of " << actual.size()
         << " cells changed behaviour:\n"
         << diff.str();
+
+    // The suite leg closes the file; the same lines must come back
+    // on four workers and from a cold, then a warm, disk store.
+    const std::size_t nSuite = 2 * trace::allWorkloadNames().size();
+    const std::vector<std::string> serial(actual.end() - long(nSuite),
+                                          actual.end());
+    EXPECT_EQ(suiteLines(4), serial) << "--jobs 4 moved the suite";
+
+    const std::string dir = "/tmp/lvpsim_fingerprint_store";
+    wipeDir(dir);
+    auto &store = sim::CheckpointStore::instance();
+    store.configure(dir, 0);
+    ASSERT_TRUE(store.enabled());
+    store.resetCounters();
+    EXPECT_EQ(suiteLines(1), serial) << "cold store moved the suite";
+    EXPECT_GT(store.misses(), 0u);
+    store.resetCounters();
+    EXPECT_EQ(suiteLines(1), serial) << "warm store moved the suite";
+    EXPECT_EQ(store.misses(), 0u) << "warm rerun missed the store";
+    EXPECT_GT(store.hits(), 0u);
+    store.configure("", 0);
+    wipeDir(dir);
 }
