@@ -8,10 +8,14 @@
  * region large enough (default 16x the measured instructions) that
  * checkpoint construction dominates, the regime the store targets.
  *
- * Four phases simulate the identical sweep (--phase all, default):
+ * Five phases simulate the identical sweep (--phase all, default):
  *
  *   inline       store disabled, in-memory caches cleared: the
  *                no-store reference results and cost.
+ *   no-memo      no memos at all: every simulation, baseline and
+ *                configuration alike, re-simulates the warmup region
+ *                inline (runTrace). What the memos save over a
+ *                naive sweep loop (memo_speedup = no-memo / inline).
  *   cold         store enabled on an empty directory, caches
  *                cleared: pays every build plus publish I/O.
  *   warm-memory  store enabled, in-memory caches left warm: the L1
@@ -145,6 +149,45 @@ runSweep(
     out.storeHits = store.hits();
     out.storeMisses = store.misses();
     out.storeSeconds = store.seconds();
+    return out;
+}
+
+/**
+ * The sweep with no memos: each workload's baseline, and every
+ * configuration's run, simulates its own warmup region inline.
+ * Shaped like runSweep()'s result so the phases compare row by row.
+ */
+SweepResult
+runNoMemo(
+    const std::vector<std::string> &workloads,
+    const std::vector<std::pair<std::string, sim::PredictorFactory>>
+        &configs,
+    const sim::RunConfig &rc, sim::ParallelExecutor &pool)
+{
+    const std::size_t W = workloads.size();
+    SweepResult out;
+    out.runs.resize(configs.size());
+    for (auto &run : out.runs)
+        run.rows.resize(W);
+    const auto trace = [&](std::size_t w) {
+        return sim::TraceCache::instance().get(
+            workloads[w], rc.maxInstrs + rc.warmupInstrs,
+            rc.traceSeed);
+    };
+    const auto t0 = Clock::now();
+    std::vector<pipe::SimStats> base(W);
+    pool.parallelFor(W, [&](std::size_t w) {
+        pipe::NullPredictor none;
+        base[w] = sim::runTrace(*trace(w), &none, rc);
+    });
+    pool.parallelFor(configs.size() * W, [&](std::size_t i) {
+        const std::size_t c = i / W, w = i % W;
+        auto vp = configs[c].second();
+        sim::WorkloadResult &row = out.runs[c].rows[w];
+        row.base = base[w];
+        row.withVp = sim::runTrace(*trace(w), vp.get(), rc);
+    });
+    out.wallSeconds = secondsSince(t0);
     return out;
 }
 
@@ -370,6 +413,11 @@ main(int argc, char **argv)
     std::cout << "inline (no store):      "
               << sim::fmtF(inline_r.wallSeconds, 3) << " s\n";
 
+    // -------- no-memo: inline warmup in every simulation --------
+    const auto no_memo = runNoMemo(workloads, configs, rc, pool);
+    std::cout << "no memos:               "
+              << sim::fmtF(no_memo.wallSeconds, 3) << " s\n";
+
     // -------- cold: empty store, pays builds + publish I/O -------
     store.configure(store_dir, 0);
     if (!store.enabled()) {
@@ -409,6 +457,8 @@ main(int argc, char **argv)
                   << warm_disk.storeMisses << " misses)\n";
         identical = false;
     }
+    identical &= sweepsIdentical(workloads, configs, "no-memo",
+                                 inline_r, no_memo);
     identical &= sweepsIdentical(workloads, configs, "cold",
                                  inline_r, cold);
     identical &= sweepsIdentical(workloads, configs, "warm-memory",
@@ -429,10 +479,16 @@ main(int argc, char **argv)
         warm_mem.wallSeconds > 0.0
             ? cold.wallSeconds / warm_mem.wallSeconds
             : 0.0;
+    const double memo_speedup =
+        inline_r.wallSeconds > 0.0
+            ? no_memo.wallSeconds / inline_r.wallSeconds
+            : 0.0;
     std::cout << "identical results: yes\n"
               << "store speedup: " << sim::fmtF(speedup, 2)
               << "x warm-disk, " << sim::fmtF(mem_speedup, 2)
-              << "x warm-memory\n";
+              << "x warm-memory\n"
+              << "memo speedup: " << sim::fmtF(memo_speedup, 2)
+              << "x inline over no memos\n";
 
     if (json_path.empty())
         return 0;
@@ -453,11 +509,13 @@ main(int argc, char **argv)
     meta.set("workloads", std::uint64_t(W));
     doc.set("meta", std::move(meta));
     doc.set("inline", phaseJson(inline_r));
+    doc.set("no_memo", phaseJson(no_memo));
     doc.set("cold", phaseJson(cold));
     doc.set("warm_memory", phaseJson(warm_mem));
     doc.set("warm_disk", phaseJson(warm_disk));
     doc.set("speedup", speedup);
     doc.set("warm_memory_speedup", mem_speedup);
+    doc.set("memo_speedup", memo_speedup);
     doc.set("results_checksum", resultsChecksum(inline_r));
     doc.set("identical", true);
 

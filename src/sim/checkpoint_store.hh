@@ -1,9 +1,9 @@
 /**
  * @file
  * Content-addressed, disk-backed L2 behind the in-memory result
- * caches (CheckpointCache / BaselineCache / PlanCache), so warmup
- * and profiling work survives across processes and CI runs
- * (docs/performance.md).
+ * caches, so warmup and profiling work survives across processes and
+ * CI runs (docs/performance.md). sim::Memo (memo.hh) describes how
+ * the caches use it.
  *
  * Entries are whole files under one directory, named by a hash of
  * their full cache key. Each file carries a self-describing header —
@@ -91,13 +91,13 @@ class CheckpointStore
         EXCLUDES(mx);
 
     /**
-     * The composite used by the slot caches: return a disk hit via
-     * @p decode, else run @p build (claiming the key so concurrent
-     * processes build it at most once) and publish its encoding.
-     * @p build must leave the caller's state fully constructed AND
-     * write the matching payload; it runs exactly once per call when
-     * needed. When the store is disabled, @p build runs and its
-     * output is discarded — callers normally guard with enabled().
+     * The composite sim::Memo uses: return a disk hit via @p decode,
+     * else run @p build (claiming the key so concurrent processes
+     * build it at most once) and publish its encoding. @p build must
+     * leave the caller's state fully constructed AND write the
+     * matching payload; it runs exactly once per call when needed.
+     * When the store is disabled, @p build runs and its output is
+     * discarded — callers normally guard with enabled().
      */
     void fetchOrBuild(const std::string &key,
                       const std::function<bool(BinReader &)> &decode,

@@ -6,7 +6,6 @@
 
 #include "common/mathutils.hh"
 #include "pipeline/snapshot_io.hh"
-#include "sim/checkpoint_store.hh"
 #include "sim/parallel_executor.hh"
 #include "sim/sampled.hh"
 
@@ -28,12 +27,30 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-} // anonymous namespace
-
-namespace
-{
-
 constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+
+/** On-disk payload for one baseline (CheckpointStore "base:" entry).
+ *  The timing fields ride along so warm runs can still report a
+ *  meaningful serial-seconds estimate for the build. */
+void
+encodeBaseline(BinWriter &w, const BaselineCache::Entry &e)
+{
+    w.u32(pipe::kSnapshotFormatVersion);
+    pipe::serializeSnapshot(w, e.stats);
+    w.f64(e.seconds);
+    w.f64(e.checkpointSeconds);
+}
+
+bool
+decodeBaseline(BinReader &r, BaselineCache::Entry &e)
+{
+    if (r.u32() != pipe::kSnapshotFormatVersion)
+        return false;
+    pipe::deserializeSnapshot(r, e.stats);
+    e.seconds = r.f64();
+    e.checkpointSeconds = r.f64();
+    return r.ok() && r.atEnd();
+}
 
 } // anonymous namespace
 
@@ -91,6 +108,11 @@ SuiteRunner::setJobs(std::size_t n)
     jobCount = n ? n : ParallelExecutor::hardwareJobs();
 }
 
+BaselineCache::BaselineCache()
+    : memo({"base:", encodeBaseline, decodeBaseline})
+{
+}
+
 BaselineCache &
 BaselineCache::instance()
 {
@@ -101,85 +123,19 @@ BaselineCache::instance()
 BaselineCache::EntryPtr
 BaselineCache::get(const std::string &workload, const RunConfig &rc)
 {
-    // Same discipline as CheckpointCache: the trace identity (not
-    // the raw spec string) joins the key, so file-backed traces key
-    // on content.
-    const std::string key =
-        runConfigKey(rc) + "#" +
-        TraceCache::instance()
-            .info(workload, rc.maxInstrs + rc.warmupInstrs,
-                  rc.traceSeed)
-            .identity;
-
-    std::shared_ptr<Slot> slot;
-    {
-        ReaderLock rd(mapMx);
-        auto it = cache.find(key);
-        if (it != cache.end())
-            slot = it->second;
-    }
-    if (!slot) {
-        WriterLock wr(mapMx);
-        // Re-check: another worker may have inserted meanwhile.
-        auto [it, inserted] =
-            cache.try_emplace(key, std::make_shared<Slot>());
-        slot = it->second;
-        (void)inserted;
-    }
-
-    // Exactly one caller simulates the baseline; concurrent callers
-    // for the same key block here until the entry is ready.
-    std::call_once(slot->once, [&] {
-        auto e = std::make_shared<Entry>();
-        const auto buildInline = [&] {
-            // Build the warmup checkpoint first so `seconds` measures
-            // only the baseline's measurement region (the build cost
-            // is reported separately as checkpointSeconds).
-            if (rc.warmupInstrs)
-                e->checkpointSeconds =
-                    CheckpointCache::instance().get(workload, rc)
-                        ->buildSeconds;
-            const auto t0 = Clock::now();
-            pipe::NullPredictor none;
-            e->stats = runWorkload(workload, &none, rc);
-            e->seconds = secondsSince(t0);
-            generated.fetch_add(1, std::memory_order_relaxed);
-        };
-        auto &store = CheckpointStore::instance();
-        if (store.enabled()) {
-            // L2: baseline counters persist across processes. The
-            // timing fields ride along so warm runs can still report
-            // a meaningful serial-seconds estimate for the build.
-            store.fetchOrBuild(
-                "base:" + key,
-                [&](BinReader &r) {
-                    if (r.u32() != pipe::kSnapshotFormatVersion)
-                        return false;
-                    pipe::deserializeSnapshot(r, e->stats);
-                    e->seconds = r.f64();
-                    e->checkpointSeconds = r.f64();
-                    return r.ok() && r.atEnd();
-                },
-                [&](BinWriter &w) {
-                    buildInline();
-                    w.u32(pipe::kSnapshotFormatVersion);
-                    pipe::serializeSnapshot(w, e->stats);
-                    w.f64(e->seconds);
-                    w.f64(e->checkpointSeconds);
-                });
-        } else {
-            buildInline();
-        }
-        slot->entry = std::move(e);
+    return memo.get(runKey(workload, rc), [&](Entry &e) {
+        // Build the warmup checkpoint first so `seconds` measures
+        // only the baseline's measurement region (the build cost is
+        // reported separately as checkpointSeconds).
+        if (rc.warmupInstrs)
+            e.checkpointSeconds =
+                CheckpointCache::instance().get(workload, rc)
+                    ->buildSeconds;
+        const auto t0 = Clock::now();
+        pipe::NullPredictor none;
+        e.stats = runWorkload(workload, &none, rc);
+        e.seconds = secondsSince(t0);
     });
-    return slot->entry;
-}
-
-void
-BaselineCache::clear()
-{
-    WriterLock wr(mapMx);
-    cache.clear();
 }
 
 const pipe::SimStats &
@@ -194,9 +150,9 @@ SuiteRunner::baseline(const std::string &workload)
 void
 SuiteRunner::ensureBaselines()
 {
-    // BaselineCache's per-key once_flag already dedupes concurrent
-    // same-key builders, so the fan-out can simply request every
-    // workload; hits return immediately.
+    // BaselineCache builds each key once, however many workers ask,
+    // so the fan-out can simply request every workload; hits return
+    // immediately.
     if (jobCount <= 1 || workloadNames.size() <= 1) {
         for (const auto &w : workloadNames)
             BaselineCache::instance().get(w, rc);

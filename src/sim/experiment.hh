@@ -14,17 +14,14 @@
 
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/sync.hh"
 #include "core/lvp_interface.hh"
 #include "pipeline/sim_stats.hh"
+#include "sim/memo.hh"
 #include "sim/simulator.hh"
 
 namespace lvpsim
@@ -93,13 +90,10 @@ using PredictorFactory =
     std::function<std::unique_ptr<pipe::LoadValuePredictor>()>;
 
 /**
- * Process-wide, thread-safe memo of no-VP baseline runs, keyed by
- * runConfigKey() + the trace identity (TraceCache::Info::identity),
- * so a multi-suite binary (e.g. the fig
- * benches) simulates each baseline exactly once no matter how many
- * SuiteRunners it creates. Same slot discipline as TraceCache /
- * CheckpointCache: one builder per key under a `std::once_flag`,
- * concurrent same-key callers block, other keys proceed.
+ * Process-wide memo of no-VP baseline runs, keyed by runKey(), so a
+ * multi-suite binary (e.g. the fig benches) simulates each baseline
+ * exactly once no matter how many SuiteRunners it creates. A
+ * sim::Memo (memo.hh) with the disk store as L2 under "base:" keys.
  */
 class BaselineCache
 {
@@ -116,36 +110,23 @@ class BaselineCache
     };
     using EntryPtr = std::shared_ptr<const Entry>;
 
+    BaselineCache();
+
     /** Run (once) or fetch the no-VP baseline for this key. The
      *  returned entry stays valid until clear(). */
-    EntryPtr get(const std::string &workload, const RunConfig &rc)
-        EXCLUDES(mapMx);
+    EntryPtr get(const std::string &workload, const RunConfig &rc);
 
     /** Number of baselines actually simulated (not cache hits). */
-    std::uint64_t generations() const
-    {
-        return generated.load(std::memory_order_relaxed);
-    }
+    std::uint64_t generations() const { return memo.generations(); }
 
     /** Drop every cached baseline (test hook; not used by benches). */
-    void clear() EXCLUDES(mapMx);
+    void clear() { memo.clear(); }
 
     /** The process-wide cache used by SuiteRunner. */
     static BaselineCache &instance();
 
   private:
-    struct Slot
-    {
-        std::once_flag once;
-        EntryPtr entry;
-    };
-
-    mutable SharedMutex mapMx;
-    // lvplint: allow(determinism) -- keyed lookup cache, never
-    // iterated; entries are deterministic simulation results
-    std::unordered_map<std::string, std::shared_ptr<Slot>> cache
-        GUARDED_BY(mapMx);
-    std::atomic<std::uint64_t> generated{0};
+    Memo<Entry> memo;
 };
 
 class SuiteRunner

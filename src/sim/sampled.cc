@@ -8,7 +8,6 @@
 #include "common/logging.hh"
 #include "core/lvp_interface.hh"
 #include "pipeline/snapshot_io.hh"
-#include "sim/checkpoint_store.hh"
 #include "trace/instruction.hh"
 #include "trace/interval_profile.hh"
 
@@ -153,6 +152,8 @@ decodePlan(BinReader &r, SamplePlan &plan)
 
 } // anonymous namespace
 
+PlanCache::PlanCache() : memo({"plan:", encodePlan, decodePlan}) {}
+
 PlanCache &
 PlanCache::instance()
 {
@@ -174,54 +175,11 @@ PlanCache::get(const std::string &workload, const RunConfig &rc)
         info.identity + "#L" + std::to_string(rc.sampleIntervalLen) +
         "#k" + std::to_string(rc.sampleK) + "#s" +
         std::to_string(rc.traceSeed);
-
-    std::shared_ptr<Slot> slot;
-    {
-        ReaderLock rd(mapMx);
-        auto it = cache.find(key);
-        if (it != cache.end())
-            slot = it->second;
-    }
-    if (!slot) {
-        WriterLock wr(mapMx);
-        auto [it, inserted] =
-            cache.try_emplace(key, std::make_shared<Slot>());
-        slot = it->second;
-        (void)inserted;
-    }
-
-    std::call_once(slot->once, [&] {
-        auto plan = std::make_shared<SamplePlan>();
-        const auto buildInline = [&] {
-            const trace::IntervalProfile profile =
-                trace::profileTrace(*info.trace, rc.sampleIntervalLen);
-            *plan = buildSamplePlan(profile, rc.sampleK, rc.traceSeed);
-            generated.fetch_add(1, std::memory_order_relaxed);
-        };
-        auto &store = CheckpointStore::instance();
-        if (store.enabled()) {
-            // L2: profiling + clustering is a full trace pass, so
-            // persist the finished plan across processes.
-            store.fetchOrBuild(
-                "plan:" + key,
-                [&](BinReader &r) { return decodePlan(r, *plan); },
-                [&](BinWriter &w) {
-                    buildInline();
-                    encodePlan(w, *plan);
-                });
-        } else {
-            buildInline();
-        }
-        slot->plan = std::move(plan);
+    return memo.get(key, [&](SamplePlan &plan) {
+        plan = buildSamplePlan(
+            trace::profileTrace(*info.trace, rc.sampleIntervalLen),
+            rc.sampleK, rc.traceSeed);
     });
-    return slot->plan;
-}
-
-void
-PlanCache::clear()
-{
-    WriterLock wr(mapMx);
-    cache.clear();
 }
 
 SampledRunResult

@@ -18,7 +18,7 @@
 #include <memory>
 #include <string>
 
-#include "common/sync.hh"
+#include "sim/memo.hh"
 #include "sim/sample_plan.hh"
 #include "sim/simulator.hh"
 
@@ -52,45 +52,32 @@ struct SampledRunResult
 
 /**
  * Process-wide memo of sample plans, keyed by trace identity plus the
- * sampling parameters (interval length, k, seed). Same slot
- * discipline as TraceCache: each distinct key is profiled and
- * clustered exactly once.
+ * sampling parameters (interval length, k, seed): each distinct key
+ * is profiled and clustered once. A sim::Memo (memo.hh) with the
+ * disk store as L2 under "plan:" keys.
  */
 class PlanCache
 {
   public:
     using PlanPtr = std::shared_ptr<const SamplePlan>;
 
+    PlanCache();
+
     /** Profile + cluster (once) or fetch the plan for this key.
      *  Requires rc.sampleK > 0. */
-    PlanPtr get(const std::string &workload, const RunConfig &rc)
-        EXCLUDES(mapMx);
+    PlanPtr get(const std::string &workload, const RunConfig &rc);
 
     /** Number of plans actually built (not cache hits). */
-    std::uint64_t generations() const
-    {
-        return generated.load(std::memory_order_relaxed);
-    }
+    std::uint64_t generations() const { return memo.generations(); }
 
     /** Drop every cached plan (test hook). */
-    void clear() EXCLUDES(mapMx);
+    void clear() { memo.clear(); }
 
     /** The process-wide cache used by runSampledWorkload(). */
     static PlanCache &instance();
 
   private:
-    struct Slot
-    {
-        std::once_flag once;
-        PlanPtr plan;
-    };
-
-    mutable SharedMutex mapMx;
-    // lvplint: allow(determinism) -- keyed lookup cache, never
-    // iterated; plans are deterministic given (trace, k, seed)
-    std::unordered_map<std::string, std::shared_ptr<Slot>> cache
-        GUARDED_BY(mapMx);
-    std::atomic<std::uint64_t> generated{0};
+    Memo<SamplePlan> memo;
 };
 
 /**

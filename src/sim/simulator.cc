@@ -175,6 +175,16 @@ runConfigKey(const RunConfig &rc)
     return k;
 }
 
+std::string
+runKey(const std::string &workload, const RunConfig &rc)
+{
+    return runConfigKey(rc) + "#" +
+           TraceCache::instance()
+               .info(workload, rc.maxInstrs + rc.warmupInstrs,
+                     rc.traceSeed)
+               .identity;
+}
+
 TraceCache &
 TraceCache::instance()
 {
@@ -182,93 +192,63 @@ TraceCache::instance()
     return c;
 }
 
-std::shared_ptr<TraceCache::Slot>
-TraceCache::ensure(const std::string &workload, std::size_t max_ops,
-                   std::uint64_t seed)
+Memo<TraceCache::Loaded>::Ptr
+TraceCache::load(const std::string &workload, std::size_t max_ops,
+                 std::uint64_t seed)
 {
     const std::string key = workload + "#" +
                             std::to_string(max_ops) + "#" +
                             std::to_string(seed);
-
-    std::shared_ptr<Slot> slot;
-    {
-        ReaderLock rd(mapMx);
-        auto it = cache.find(key);
-        if (it != cache.end())
-            slot = it->second;
-    }
-    if (!slot) {
-        WriterLock wr(mapMx);
-        // Re-check: another worker may have inserted meanwhile.
-        auto [it, inserted] =
-            cache.try_emplace(key, std::make_shared<Slot>());
-        slot = it->second;
-        (void)inserted;
-    }
-
-    // Exactly one caller generates (or loads); concurrent callers
-    // for the same key block here until the trace is ready.
-    // call_once publishes slot->trace to every waiter.
-    std::call_once(slot->once, [&] {
+    return memo.get(key, [&](Loaded &t) {
         const trace::TraceSpec spec = trace::parseTraceSpec(workload);
         if (spec.kind == trace::TraceKind::Synthetic) {
             // Identical to the historical path: generateWorkload
             // output, bit for bit, and an identity that needs no
             // file hashing.
-            slot->trace =
-                std::make_shared<const std::vector<trace::MicroOp>>(
-                    trace::generateWorkload(spec.name, max_ops,
-                                            seed));
+            t.ops = trace::generateWorkload(spec.name, max_ops, seed);
             // Canonicalized so equivalent kernel-spec spellings
             // share TraceCache / checkpoint-cache entries.
-            slot->identity = "synth:" +
-                             trace::canonicalSyntheticName(spec.name) +
-                             "#" + std::to_string(max_ops) + "#" +
-                             std::to_string(seed);
-            slot->format = "synthetic";
-        } else {
-            std::string err;
-            auto src =
-                trace::openTraceSource(spec, max_ops, seed, &err);
-            if (!src) {
-                lvp_fatal("cannot open trace '%s': %s",
-                          spec.name.c_str(), err.c_str());
-            }
-            // File traces are truncated to the run's instruction
-            // budget; the cap is part of the identity because it
-            // changes the delivered stream.
-            slot->trace =
-                std::make_shared<const std::vector<trace::MicroOp>>(
-                    trace::materialize(*src, max_ops));
-            slot->identity =
-                src->identity() + "#cap" + std::to_string(max_ops);
-            slot->format = src->format();
+            t.identity = "synth:" +
+                         trace::canonicalSyntheticName(spec.name) +
+                         "#" + std::to_string(max_ops) + "#" +
+                         std::to_string(seed);
+            t.format = "synthetic";
+            return;
         }
-        generated.fetch_add(1, std::memory_order_relaxed);
+        std::string err;
+        auto src = trace::openTraceSource(spec, max_ops, seed, &err);
+        if (!src) {
+            lvp_fatal("cannot open trace '%s': %s", spec.name.c_str(),
+                      err.c_str());
+        }
+        // File traces are truncated to the run's instruction budget;
+        // the cap is part of the identity because it changes the
+        // delivered stream.
+        t.ops = trace::materialize(*src, max_ops);
+        t.identity = src->identity() + "#cap" + std::to_string(max_ops);
+        t.format = src->format();
     });
-    return slot;
 }
 
 TraceCache::TracePtr
 TraceCache::get(const std::string &workload, std::size_t max_ops,
                 std::uint64_t seed)
 {
-    return ensure(workload, max_ops, seed)->trace;
+    auto t = load(workload, max_ops, seed);
+    return TracePtr(t, &t->ops);
 }
 
 TraceCache::Info
 TraceCache::info(const std::string &workload, std::size_t max_ops,
                  std::uint64_t seed)
 {
-    auto slot = ensure(workload, max_ops, seed);
-    return Info{slot->trace, slot->identity, slot->format};
+    auto t = load(workload, max_ops, seed);
+    return Info{TracePtr(t, &t->ops), t->identity, t->format};
 }
 
-void
-TraceCache::clear()
+CheckpointCache::CheckpointCache()
+    : warm({"ckpt:", encodeCheckpoint, decodeCheckpoint})
 {
-    WriterLock wr(mapMx);
-    cache.clear();
 }
 
 CheckpointCache &
@@ -278,111 +258,27 @@ CheckpointCache::instance()
     return c;
 }
 
-std::shared_ptr<CheckpointCache::Slot>
-CheckpointCache::ensure(const std::string &key)
-{
-    std::shared_ptr<Slot> slot;
-    {
-        ReaderLock rd(mapMx);
-        auto it = cache.find(key);
-        if (it != cache.end())
-            slot = it->second;
-    }
-    if (!slot) {
-        WriterLock wr(mapMx);
-        // Re-check: another worker may have inserted meanwhile.
-        auto [it, inserted] =
-            cache.try_emplace(key, std::make_shared<Slot>());
-        slot = it->second;
-        (void)inserted;
-    }
-    return slot;
-}
-
 CheckpointCache::CheckpointPtr
 CheckpointCache::get(const std::string &workload, const RunConfig &rc)
 {
     lvp_assert(rc.warmupInstrs > 0,
                "CheckpointCache::get with zero warmup");
-    // Key on the trace identity, not the raw spec string: for
-    // file-backed traces the identity embeds a content hash, so a
-    // rewritten file can never alias a stale checkpoint.
-    const std::string key =
-        runConfigKey(rc) + "#" +
-        TraceCache::instance()
-            .info(workload, rc.maxInstrs + rc.warmupInstrs,
-                  rc.traceSeed)
-            .identity;
-    auto slot = ensure(key);
-
-    // Exactly one caller in this process resolves the key (L1
-    // once_flag); with the disk store enabled it first consults L2
-    // and only simulates the warmup region on a disk miss, claiming
-    // the key so concurrent *processes* also build it at most once.
-    std::call_once(slot->once, [&] {
-        const auto t0 = WallClock::now();
-        auto ck = std::make_shared<SimCheckpoint>();
-        ck->warmupInstrs = rc.warmupInstrs;
-        const auto buildInline = [&] {
+    return warm.get(
+        runKey(workload, rc),
+        [&](SimCheckpoint &ck) {
+            const auto t0 = WallClock::now();
             auto ops = TraceCache::instance().get(
                 workload, rc.maxInstrs + rc.warmupInstrs,
                 rc.traceSeed);
             pipe::Core core(rc.core, *ops, nullptr);
             core.warmup(rc.warmupInstrs);
-            core.saveState(ck->core);
-            generated.fetch_add(1, std::memory_order_relaxed);
-        };
-        auto &store = CheckpointStore::instance();
-        if (store.enabled()) {
-            store.fetchOrBuild(
-                "ckpt:" + key,
-                [&](BinReader &r) {
-                    return decodeCheckpoint(r, *ck) &&
-                           ck->warmupInstrs == rc.warmupInstrs;
-                },
-                [&](BinWriter &w) {
-                    buildInline();
-                    encodeCheckpoint(w, *ck);
-                });
-        } else {
-            buildInline();
-        }
-        ck->buildSeconds = secondsSince(t0);
-        slot->ckpt = std::move(ck);
-    });
-    return slot->ckpt;
-}
-
-std::shared_ptr<CheckpointCache::IntervalSlot>
-CheckpointCache::ensureInterval(const std::string &key)
-{
-    {
-        ReaderLock rd(mapMx);
-        auto it = intervalCache.find(key);
-        if (it != intervalCache.end())
-            return it->second;
-    }
-    WriterLock wr(mapMx);
-    auto [it, inserted] =
-        intervalCache.try_emplace(key, std::make_shared<IntervalSlot>());
-    (void)inserted;
-    return it->second;
-}
-
-std::shared_ptr<CheckpointCache::TraceState>
-CheckpointCache::ensureTraceState(const std::string &prefix)
-{
-    {
-        ReaderLock rd(mapMx);
-        auto it = traceStates.find(prefix);
-        if (it != traceStates.end())
-            return it->second;
-    }
-    WriterLock wr(mapMx);
-    auto [it, inserted] =
-        traceStates.try_emplace(prefix, std::make_shared<TraceState>());
-    (void)inserted;
-    return it->second;
+            core.saveState(ck.core);
+            ck.warmupInstrs = rc.warmupInstrs;
+            ck.buildSeconds = secondsSince(t0);
+        },
+        [&](const SimCheckpoint &ck) {
+            return ck.warmupInstrs == rc.warmupInstrs;
+        });
 }
 
 void
@@ -390,7 +286,7 @@ CheckpointCache::publishInterval(TraceState &ts,
                                  const std::string &prefix,
                                  std::uint64_t idx, double buildSeconds)
 {
-    auto slot = ensureInterval(intervalKey(prefix, idx));
+    auto slot = intervals.slot(intervalKey(prefix, idx));
     if (!slot->ready.load(std::memory_order_acquire)) {
         auto ck = std::make_shared<SimCheckpoint>();
         ck->warmupInstrs = idx;
@@ -405,7 +301,7 @@ CheckpointCache::publishInterval(TraceState &ts,
         }
         slot->ckpt = std::move(ck);
         slot->ready.store(true, std::memory_order_release);
-        generated.fetch_add(1, std::memory_order_relaxed);
+        intervalsBuilt.fetch_add(1, std::memory_order_relaxed);
     }
     MutexLock lk(ts.claimMx);
     ts.claims.erase(idx);
@@ -459,21 +355,15 @@ CheckpointCache::getIntervals(const std::string &workload,
                               const RunConfig &rc,
                               const std::vector<std::uint64_t> &indices)
 {
-    const std::string prefix =
-        runConfigKey(rc) + "#" +
-        TraceCache::instance()
-            .info(workload, rc.maxInstrs + rc.warmupInstrs,
-                  rc.traceSeed)
-            .identity;
-    auto state = ensureTraceState(prefix);
+    const std::string prefix = runKey(workload, rc);
+    auto state = traceStates.slot(prefix);
 
     std::vector<std::shared_ptr<IntervalSlot>> slots;
     slots.reserve(indices.size());
     for (std::size_t i = 0; i < indices.size(); ++i) {
         lvp_assert(i == 0 || indices[i - 1] < indices[i],
                    "interval indices must be ascending and unique");
-        slots.push_back(
-            ensureInterval(intervalKey(prefix, indices[i])));
+        slots.push_back(intervals.slot(intervalKey(prefix, indices[i])));
     }
 
     // Claim every missing index *before* any building: whichever
@@ -571,9 +461,8 @@ CheckpointCache::getIntervals(const std::string &workload,
 void
 CheckpointCache::clear()
 {
-    WriterLock wr(mapMx);
-    cache.clear();
-    intervalCache.clear();
+    warm.clear();
+    intervals.clear();
     traceStates.clear();
 }
 

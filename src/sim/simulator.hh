@@ -9,10 +9,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/sync.hh"
@@ -20,6 +18,7 @@
 #include "pipeline/core.hh"
 #include "pipeline/core_config.hh"
 #include "pipeline/sim_stats.hh"
+#include "sim/memo.hh"
 #include "trace/instruction.hh"
 
 namespace lvpsim
@@ -58,10 +57,18 @@ struct RunConfig
 /**
  * Deterministic string key covering every RunConfig field (core,
  * memory, branch-predictor and trace parameters included): two runs
- * share a key iff their simulated results must be identical. Used by
- * CheckpointCache and BaselineCache.
+ * share a key iff their simulated results must be identical.
  */
 std::string runConfigKey(const RunConfig &rc);
+
+/**
+ * runConfigKey(rc) + "#" + the trace identity of @p workload at
+ * rc's length (TraceCache::Info::identity): the memo key of
+ * CheckpointCache and BaselineCache. For file-backed traces the
+ * identity embeds a content hash, so a rewritten file can never
+ * alias a stale entry.
+ */
+std::string runKey(const std::string &workload, const RunConfig &rc);
 
 /**
  * Process-wide progress reporting for long runs (CLI --progress).
@@ -96,13 +103,8 @@ pipe::SimStats runTrace(const std::vector<trace::MicroOp> &ops,
  * unreadable file is fatal() — callers wanting a recoverable error
  * should probe with `trace::openTraceSource` first.
  *
- * Thread-safe: any number of workers may call get() concurrently,
- * including for the same (workload, max_ops, seed) key. Each distinct
- * key is generated exactly once — the first caller generates under a
- * per-key `std::once_flag` while later callers for the same key block
- * until the trace is ready, and callers for other keys proceed
- * unimpeded (the map itself is only held under a short-lived
- * `SharedMutex`, see common/sync.hh).
+ * Thread-safe and built once per (workload, max_ops, seed) key: an
+ * in-memory sim::Memo (memo.hh) with no disk store.
  */
 class TraceCache
 {
@@ -125,43 +127,33 @@ class TraceCache
     };
 
     TracePtr get(const std::string &workload, std::size_t max_ops,
-                 std::uint64_t seed) EXCLUDES(mapMx);
+                 std::uint64_t seed);
 
     /** Like get(), but also returning identity and format. */
     Info info(const std::string &workload, std::size_t max_ops,
-              std::uint64_t seed) EXCLUDES(mapMx);
+              std::uint64_t seed);
 
     /** Number of traces actually generated (not cache hits). */
-    std::uint64_t generations() const
-    {
-        return generated.load(std::memory_order_relaxed);
-    }
+    std::uint64_t generations() const { return memo.generations(); }
 
     /** Drop every cached trace (test hook; not used by benches). */
-    void clear() EXCLUDES(mapMx);
+    void clear() { memo.clear(); }
 
     /** The process-wide cache used by benches. */
     static TraceCache &instance();
 
   private:
-    struct Slot
+    struct Loaded
     {
-        std::once_flag once;
-        TracePtr trace;
+        std::vector<trace::MicroOp> ops;
         std::string identity;
         std::string format;
     };
 
-    std::shared_ptr<Slot> ensure(const std::string &workload,
-                                 std::size_t max_ops,
-                                 std::uint64_t seed) EXCLUDES(mapMx);
+    Memo<Loaded>::Ptr load(const std::string &workload,
+                           std::size_t max_ops, std::uint64_t seed);
 
-    mutable SharedMutex mapMx;
-    // lvplint: allow(determinism) -- keyed lookup cache, never
-    // iterated; each trace is produced by a seeded generator
-    std::unordered_map<std::string, std::shared_ptr<Slot>> cache
-        GUARDED_BY(mapMx);
-    std::atomic<std::uint64_t> generated{0};
+    Memo<Loaded> memo;
 };
 
 /**
@@ -176,7 +168,8 @@ pipe::SimStats runWorkload(const std::string &workload,
 
 /**
  * The post-warmup machine state for one (workload, RunConfig) key,
- * plus how long it took to build (wall-clock, reporting only).
+ * plus how long it took to build (wall-clock, reporting only; 0 when
+ * CheckpointCache::get() loaded it from the disk store).
  */
 struct SimCheckpoint
 {
@@ -186,30 +179,20 @@ struct SimCheckpoint
 };
 
 /**
- * Process-wide, thread-safe memo of post-warmup checkpoints, keyed by
- * runConfigKey() + the trace identity (TraceCache::Info::identity, so
- * file-backed traces key on content, not path). Same slot discipline
- * as TraceCache: each
- * distinct key is simulated exactly once under a per-key
- * `std::once_flag`; concurrent callers for the same key block until
- * the checkpoint is ready, other keys proceed unimpeded.
- *
- * This in-memory map is the L1 of a two-level design: when the
- * process-wide CheckpointStore (checkpoint_store.hh) is enabled, a
- * missing key is first looked up on disk and only simulated when the
- * disk misses too, with the freshly built snapshot published for
- * future processes. generations() counts only real simulations, so
- * it distinguishes disk hits from rebuilds in tests.
+ * Process-wide memo of post-warmup checkpoints, keyed by runKey().
+ * A sim::Memo (memo.hh) with the disk store as L2 under "ckpt:" keys;
+ * generations() counts only real simulations.
  */
 class CheckpointCache
 {
   public:
     using CheckpointPtr = std::shared_ptr<const SimCheckpoint>;
 
+    CheckpointCache();
+
     /** Build (once) or fetch the checkpoint for this key. Requires
      *  rc.warmupInstrs > 0. */
-    CheckpointPtr get(const std::string &workload, const RunConfig &rc)
-        EXCLUDES(mapMx);
+    CheckpointPtr get(const std::string &workload, const RunConfig &rc);
 
     /**
      * Interval checkpoints for sampled runs: the machine state after
@@ -221,19 +204,18 @@ class CheckpointCache
      * currently streaming saves and publishes a checkpoint at each
      * claimed index it passes, so each fast-forward gap is traversed
      * once process-wide instead of once per concurrent batch. Each
-     * slot is memoized under the same runConfigKey() +
-     * trace-identity discipline as get(), with the interval index
-     * appended, and is served from the disk store when enabled.
+     * slot is keyed like get(), with the interval index appended,
+     * and is served from the disk store when enabled.
      */
     std::vector<CheckpointPtr>
     getIntervals(const std::string &workload, const RunConfig &rc,
-                 const std::vector<std::uint64_t> &indices)
-        EXCLUDES(mapMx);
+                 const std::vector<std::uint64_t> &indices);
 
     /** Number of checkpoints actually simulated (not cache hits). */
     std::uint64_t generations() const
     {
-        return generated.load(std::memory_order_relaxed);
+        return warm.generations() +
+               intervalsBuilt.load(std::memory_order_relaxed);
     }
 
     /** Total instructions functionally fast-forwarded by interval
@@ -245,18 +227,12 @@ class CheckpointCache
     }
 
     /** Drop every cached checkpoint (test hook; not used by benches). */
-    void clear() EXCLUDES(mapMx);
+    void clear();
 
     /** The process-wide cache used by runWorkload(). */
     static CheckpointCache &instance();
 
   private:
-    struct Slot
-    {
-        std::once_flag once;
-        CheckpointPtr ckpt;
-    };
-
     /**
      * Interval slots publish through an atomic flag instead of a
      * once_flag because the *builder* of a slot is not necessarily
@@ -283,36 +259,20 @@ class CheckpointCache
         std::set<std::uint64_t> claims GUARDED_BY(claimMx);
     };
 
-    std::shared_ptr<Slot> ensure(const std::string &key)
-        EXCLUDES(mapMx);
-    std::shared_ptr<IntervalSlot>
-    ensureInterval(const std::string &key) EXCLUDES(mapMx);
-    std::shared_ptr<TraceState>
-    ensureTraceState(const std::string &prefix) EXCLUDES(mapMx);
-
     /** Stream ts.core from ts.pos to @p target, saving + publishing
      *  a checkpoint at every claimed index passed (and at target). */
     void advanceAndPublish(TraceState &ts, const std::string &prefix,
-                           std::uint64_t target)
-        REQUIRES(ts.buildMx) EXCLUDES(mapMx);
+                           std::uint64_t target) REQUIRES(ts.buildMx);
 
     /** Publish ts.core's state as interval @p idx and drop its claim. */
     void publishInterval(TraceState &ts, const std::string &prefix,
                          std::uint64_t idx, double buildSeconds)
-        REQUIRES(ts.buildMx) EXCLUDES(mapMx);
+        REQUIRES(ts.buildMx);
 
-    mutable SharedMutex mapMx;
-    // lvplint: allow(determinism) -- keyed lookup caches, never
-    // iterated; checkpoints are deterministic simulation state
-    std::unordered_map<std::string, std::shared_ptr<Slot>> cache
-        GUARDED_BY(mapMx);
-    // lvplint: allow(determinism) -- keyed lookup cache, never iterated
-    std::unordered_map<std::string, std::shared_ptr<IntervalSlot>>
-        intervalCache GUARDED_BY(mapMx);
-    // lvplint: allow(determinism) -- keyed lookup cache, never iterated
-    std::unordered_map<std::string, std::shared_ptr<TraceState>>
-        traceStates GUARDED_BY(mapMx);
-    std::atomic<std::uint64_t> generated{0};
+    Memo<SimCheckpoint> warm;
+    SlotMap<IntervalSlot> intervals;
+    SlotMap<TraceState> traceStates;
+    std::atomic<std::uint64_t> intervalsBuilt{0};
     std::atomic<std::uint64_t> ffInstrs{0};
 };
 

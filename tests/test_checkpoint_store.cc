@@ -524,3 +524,76 @@ TEST_F(StoreTest, ConcurrentOverlappingBatchesShareTheCursor)
     for (const auto &c : b)
         ASSERT_NE(c, nullptr);
 }
+
+TEST_F(StoreTest, RejectedEntryLeavesNoTrace)
+{
+    // A store entry with a valid header and checksum can still be
+    // rejected by the payload decoder. The rebuilt value must then be
+    // exactly what an inline build produces: nothing the rejected
+    // decode wrote may leak into it, or into the entry republished
+    // in its place.
+    auto &store = sim::CheckpointStore::instance();
+    auto &ckpts = sim::CheckpointCache::instance();
+    auto &bases = sim::BaselineCache::instance();
+
+    // Checkpoint: a genuine snapshot stored under the wrong warmup.
+    const auto rc = warmRc(107);
+    const std::string identity =
+        sim::TraceCache::instance()
+            .info("stream_sum", rc.maxInstrs + rc.warmupInstrs,
+                  rc.traceSeed)
+            .identity;
+    const std::string ckptKey =
+        "ckpt:" + sim::runConfigKey(rc) + "#" + identity;
+    store.configure("", 0);
+    ckpts.clear();
+    const auto inlineCk = ckpts.get("stream_sum", rc);
+    store.configure(dir, 0);
+    store.publish(ckptKey, [&](BinWriter &w) {
+        w.u32(pipe::kSnapshotFormatVersion);
+        pipe::serializeSnapshot(w, inlineCk->core);
+        w.u64(rc.warmupInstrs + 1);
+    });
+    ckpts.clear();
+    const auto gen0 = ckpts.generations();
+    EXPECT_EQ(ckpts.get("stream_sum", rc)->warmupInstrs,
+              rc.warmupInstrs);
+    ckpts.clear();
+    EXPECT_EQ(ckpts.get("stream_sum", rc)->warmupInstrs,
+              rc.warmupInstrs);
+    EXPECT_EQ(ckpts.generations() - gen0, 1u)
+        << "the rebuild republished the rejected warmup count";
+
+    // Baseline: a no-warmup entry with one trailing byte.
+    sim::RunConfig noWarm;
+    noWarm.maxInstrs = 3000;
+    noWarm.traceSeed = 108;
+    const std::string baseKey =
+        "base:" + sim::runConfigKey(noWarm) + "#" +
+        sim::TraceCache::instance()
+            .info("hash_probe", noWarm.maxInstrs, noWarm.traceSeed)
+            .identity;
+    store.configure("", 0);
+    bases.clear();
+    const auto inlineBase = bases.get("hash_probe", noWarm);
+    EXPECT_EQ(inlineBase->checkpointSeconds, 0.0);
+    store.configure(dir, 0);
+    store.publish(baseKey, [&](BinWriter &w) {
+        w.u32(pipe::kSnapshotFormatVersion);
+        pipe::serializeSnapshot(w, inlineBase->stats);
+        w.f64(1.0);
+        w.f64(123.0);
+        w.u8(0);
+    });
+    bases.clear();
+    const auto rebuilt = bases.get("hash_probe", noWarm);
+    EXPECT_EQ(rebuilt->checkpointSeconds, 0.0)
+        << "the rejected entry's checkpointSeconds survived";
+    EXPECT_EQ(flat(rebuilt->stats), flat(inlineBase->stats));
+    sim::SuiteRunner runner({"hash_probe"}, noWarm, 1);
+    const auto res = runner.run("lvp", [] {
+        return vp::makeSinglePredictor(pipe::ComponentId::LVP, 512);
+    });
+    ASSERT_EQ(res.rows.size(), 1u);
+    EXPECT_EQ(res.rows[0].checkpointSeconds, 0.0);
+}

@@ -10,11 +10,10 @@
 #   baseline               measured slice        floor
 #   BENCH_throughput.json  micro_throughput      per-workload kips >=
 #                                                ref / TOL_THROUGHPUT
-#   BENCH_sweep.json       sweep_throughput      speedup >=
-#                                                ref / TOL_SWEEP
 #   BENCH_sampling.json    sampling_throughput   speedup >=
 #                                                ref / TOL_SAMPLING
-#   BENCH_store.json       store_throughput      speedup >=
+#   BENCH_store.json       store_throughput      speedup and
+#                                                memo_speedup >=
 #                                                ref / TOL_STORE
 #
 # Speedup baselines are same-machine ratios, so they transfer across
@@ -25,7 +24,6 @@
 # Usage: check_perf_regression.sh <bench-bin-dir> <repo-root> \
 #            <build-type>
 #   LVPSIM_PERF_TOL_THROUGHPUT=<x>  (default $LVPSIM_PERF_TOL or 5.0)
-#   LVPSIM_PERF_TOL_SWEEP=<x>       (default 3.0)
 #   LVPSIM_PERF_TOL_SAMPLING=<x>    (default 4.0)
 #   LVPSIM_PERF_TOL_STORE=<x>       (default 3.0)
 #
@@ -40,7 +38,6 @@ root=${2:?missing repo root}
 build_type=${3:-}
 
 tol_throughput=${LVPSIM_PERF_TOL_THROUGHPUT:-${LVPSIM_PERF_TOL:-5.0}}
-tol_sweep=${LVPSIM_PERF_TOL_SWEEP:-3.0}
 tol_sampling=${LVPSIM_PERF_TOL_SAMPLING:-4.0}
 tol_store=${LVPSIM_PERF_TOL_STORE:-3.0}
 
@@ -111,41 +108,30 @@ else
     echo "note: throughput baseline or binary absent, not gated"
 fi
 
-# check_ratio <fresh.json> <ref.json> <tol> <what>: both files carry
-# a top-level "speedup"; the fresh one must stay above ref/tol.
+# check_ratio <fresh.json> <ref.json> <tol> <what> [key]: both files
+# carry a top-level ratio under key (default "speedup"); the fresh
+# one must stay above ref/tol.
 check_ratio() {
-    python3 - "$1" "$2" "$3" "$4" <<'EOF'
+    python3 - "$1" "$2" "$3" "$4" "${5:-speedup}" <<'EOF'
 import json
 import sys
 
-now = json.load(open(sys.argv[1]))
-ref = json.load(open(sys.argv[2]))
+now_doc = json.load(open(sys.argv[1]))
+ref_doc = json.load(open(sys.argv[2]))
 tol = float(sys.argv[3])
 what = sys.argv[4]
-floor = ref["speedup"] / tol
-print(f"  {what}: {now['speedup']:.2f}x measured "
-      f"(committed {ref['speedup']:.2f}x, floor {floor:.2f}x)")
-if now["speedup"] < floor:
+key = sys.argv[5]
+now, ref = now_doc[key], ref_doc[key]
+floor = ref / tol
+print(f"  {what}: {now:.2f}x measured "
+      f"(committed {ref:.2f}x, floor {floor:.2f}x)")
+if now < floor:
     print(f"FAIL: {what} speedup collapsed more than {tol}x below "
           "the committed baseline")
     sys.exit(1)
 print(f"OK: {what} speedup within {tol}x of the committed baseline")
 EOF
 }
-
-# ---- sweep: checkpointed-sweep speedup ratio -----------------------
-if [ -f "$root/BENCH_sweep.json" ] && \
-   [ -x "$bindir/sweep_throughput" ]; then
-    gated=$((gated + 1))
-    echo "== sweep (smoke slice, tol ${tol_sweep}x) =="
-    LVPSIM_SUITE=smoke LVPSIM_INSTRS=20000 \
-        "$bindir/sweep_throughput" --json "$dir/sweep.json" \
-        > /dev/null
-    check_ratio "$dir/sweep.json" "$root/BENCH_sweep.json" \
-        "$tol_sweep" sweep || failures=$((failures + 1))
-else
-    echo "note: sweep baseline or binary absent, not gated"
-fi
 
 # ---- sampling: sampled-vs-full speedup ratio -----------------------
 if [ -f "$root/BENCH_sampling.json" ] && \
@@ -161,7 +147,7 @@ else
     echo "note: sampling baseline or binary absent, not gated"
 fi
 
-# ---- store: cold-vs-warm-disk speedup ratio ------------------------
+# ---- store: cold-vs-warm-disk and memo speedup ratios --------------
 if [ -f "$root/BENCH_store.json" ] && \
    [ -x "$bindir/store_throughput" ]; then
     gated=$((gated + 1))
@@ -170,8 +156,12 @@ if [ -f "$root/BENCH_store.json" ] && \
     LVPSIM_SUITE=smoke LVPSIM_INSTRS=10000 \
         "$bindir/store_throughput" --store "$dir/store" \
         --json "$dir/store.json" > /dev/null
+    store_failed=0
     check_ratio "$dir/store.json" "$root/BENCH_store.json" \
-        "$tol_store" store || failures=$((failures + 1))
+        "$tol_store" store || store_failed=1
+    check_ratio "$dir/store.json" "$root/BENCH_store.json" \
+        "$tol_store" memo memo_speedup || store_failed=1
+    failures=$((failures + store_failed))
 else
     echo "note: store baseline or binary absent, not gated"
 fi

@@ -9,19 +9,20 @@
 # subsets:
 #
 #   -L smoke   fast unit/harness tests, including the --jobs 4
-#              parallel suite run and the CheckpointCache /
-#              BaselineCache concurrent-build tests in
-#              test_checkpoint.cc (the TSan targets of interest)
+#              parallel suite run, the sim::Memo build-once tests
+#              (test_memo.cc) and the cache concurrent-build tests
+#              in test_checkpoint.cc (the TSan targets of interest)
 #   -L fuzz    seeded property tests (fixed seeds, deterministic),
 #              including the checkpoint/restore fuzz in
 #              test_checkpoint_fuzz.cc
 #
 # The TSan tree additionally runs the differential, sampling, and
 # store labels at ctest -j4 — four concurrent simulations hammering
-# the TraceCache / CheckpointCache / PlanCache slot discipline plus
-# the CheckpointStore claim/publish protocol (test_checkpoint_store
-# and the two-process store_concurrency gate), which is exactly the
-# interleaving the annotated locking contracts (common/sync.hh,
+# the sim::Memo slot discipline (src/sim/memo.hh) behind every cache,
+# the interval-claim protocol, and the CheckpointStore claim/publish
+# protocol (test_checkpoint_store and the two-process
+# store_concurrency gate), which is exactly the interleaving the
+# annotated locking contracts (common/sync.hh,
 # docs/static_analysis.md) claim to make safe.
 #
 # Usage: tools/run_sanitizers.sh [source-dir]
