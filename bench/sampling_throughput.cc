@@ -212,12 +212,21 @@ main(int argc, char **argv)
     const double cold_wall = secondsSince(cold_t0);
 
     double checkpoint_seconds = 0.0;
-    for (const auto &row : cold.rows)
+    sim::SampledHostSeconds parts;
+    for (const auto &row : cold.rows) {
         checkpoint_seconds += row.checkpointSeconds;
+        parts += row.sampledSeconds;
+    }
     std::cout << "sampled (cold caches):     "
               << sim::fmtF(cold_wall, 3) << " s (of which "
               << sim::fmtF(checkpoint_seconds, 3)
-              << " s checkpoint builds)\n";
+              << " s checkpoint builds)\n"
+              << "  host seconds by part:    plan "
+              << sim::fmtF(parts.plan, 3) << ", checkpoints "
+              << sim::fmtF(parts.checkpoints, 3) << ", vp training "
+              << sim::fmtF(parts.vpTrain, 3) << ", restore "
+              << sim::fmtF(parts.restore, 3) << ", detailed "
+              << sim::fmtF(parts.detailed, 3) << "\n";
 
     // -------- sampled, warm: plans and checkpoints must be hits --
     const auto plans0 = sim::PlanCache::instance().generations();
@@ -334,6 +343,15 @@ main(int argc, char **argv)
     sim::JsonValue cold_j = sim::JsonValue::object();
     cold_j.set("wall_seconds", cold_wall);
     cold_j.set("checkpoint_build_seconds", checkpoint_seconds);
+    // Summed over rows (baseline and VP runs); with --jobs > 1 the
+    // parts add up to more than the wall clock.
+    sim::JsonValue parts_j = sim::JsonValue::object();
+    parts_j.set("plan", parts.plan);
+    parts_j.set("checkpoints", parts.checkpoints);
+    parts_j.set("vp_train", parts.vpTrain);
+    parts_j.set("restore", parts.restore);
+    parts_j.set("detailed", parts.detailed);
+    cold_j.set("host_seconds", std::move(parts_j));
     doc.set("sampled", std::move(cold_j));
     sim::JsonValue warm_j = sim::JsonValue::object();
     warm_j.set("wall_seconds", warm_wall);

@@ -42,6 +42,9 @@ Ittage::Ittage(const IttageConfig &config, std::uint64_t seed)
             histLen[t] = histLen[t - 1] + 1;
         len *= ratio;
     }
+    lvp_assert(histLen.empty() || histLen.back() < st.ring.capacity(),
+               "ITTAGE history length %u exceeds the history ring",
+               histLen.empty() ? 0 : histLen.back());
     for (unsigned t = 0; t < cfg.numTables; ++t) {
         st.foldIdx.emplace_back(histLen[t], cfg.logTagged);
         st.foldTag.emplace_back(histLen[t], cfg.tagBits);
@@ -126,15 +129,18 @@ Ittage::update(Addr pc, Addr target)
     // distinct targets perturbs the folded histories (raw low target
     // bits are often identical across aligned handlers).
     const std::uint64_t h = mix64(target);
-    st.ring.push(unsigned(h & 1));
+    pushHistoryBit(unsigned(h & 1));
+    pushHistoryBit(unsigned((h >> 1) & 1));
+}
+
+void
+Ittage::pushHistoryBit(unsigned in)
+{
+    st.ring.push(in);
     for (unsigned t = 0; t < cfg.numTables; ++t) {
-        st.foldIdx[t].update(st.ring);
-        st.foldTag[t].update(st.ring);
-    }
-    st.ring.push(unsigned((h >> 1) & 1));
-    for (unsigned t = 0; t < cfg.numTables; ++t) {
-        st.foldIdx[t].update(st.ring);
-        st.foldTag[t].update(st.ring);
+        const unsigned out = st.ring.at(histLen[t]);
+        st.foldIdx[t].shift(in, out);
+        st.foldTag[t].shift(in, out);
     }
 }
 

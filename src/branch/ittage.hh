@@ -96,6 +96,7 @@ class Ittage
   private:
     unsigned tableIndex(Addr pc, unsigned t) const;
     std::uint16_t tableTag(Addr pc, unsigned t) const;
+    void pushHistoryBit(unsigned in);
 
     // lvplint: allow(state-snapshot) -- construction-time config, immutable
     IttageConfig cfg;

@@ -43,6 +43,9 @@ Tage::Tage(const TageConfig &config, std::uint64_t seed)
         len *= ratio;
     }
 
+    lvp_assert(histLen.empty() || histLen.back() < st.ring.capacity(),
+               "TAGE history length %u exceeds the history ring",
+               histLen.empty() ? 0 : histLen.back());
     for (unsigned t = 0; t < cfg.numTables; ++t) {
         st.foldIdx.emplace_back(histLen[t], cfg.logTagged);
         st.foldTag1.emplace_back(histLen[t], cfg.tagBits);
@@ -101,12 +104,14 @@ Tage::predict(Addr pc)
 void
 Tage::pushHistory(Addr pc, bool taken)
 {
-    st.ring.push(taken ? 1 : 0);
+    const unsigned in = taken ? 1 : 0;
+    st.ring.push(in);
     st.pathHist = (st.pathHist << 1) | ((pc >> 2) & 1);
     for (unsigned t = 0; t < cfg.numTables; ++t) {
-        st.foldIdx[t].update(st.ring);
-        st.foldTag1[t].update(st.ring);
-        st.foldTag2[t].update(st.ring);
+        const unsigned out = st.ring.at(histLen[t]);
+        st.foldIdx[t].shift(in, out);
+        st.foldTag1[t].shift(in, out);
+        st.foldTag2[t].shift(in, out);
     }
 }
 

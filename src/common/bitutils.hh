@@ -19,6 +19,14 @@ isPowerOf2(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
+/** @p x mod @p n (n > 0): a mask when n is a power of two, as table
+ *  sizes usually are, and a division only otherwise. */
+constexpr std::uint64_t
+fastMod(std::uint64_t x, std::uint64_t n)
+{
+    return isPowerOf2(n) ? x & (n - 1) : x % n;
+}
+
 /** Floor of log base 2; log2i(0) is undefined (returns 0). */
 constexpr unsigned
 log2i(std::uint64_t v)

@@ -96,7 +96,7 @@ class TaggedTable
     Way *
     lookup(std::uint64_t index, std::uint64_t tag)
     {
-        const std::size_t s = index % sets;
+        const std::size_t s = setOf(index);
         for (unsigned w = 0; w < numWaysVal; ++w) {
             Way &way = ways[s * numWaysVal + w];
             if (way.valid && way.tag == tag) {
@@ -110,7 +110,7 @@ class TaggedTable
     const Way *
     lookup(std::uint64_t index, std::uint64_t tag) const
     {
-        const std::size_t s = index % sets;
+        const std::size_t s = setOf(index);
         for (unsigned w = 0; w < numWaysVal; ++w) {
             const Way &way = ways[s * numWaysVal + w];
             if (way.valid && way.tag == tag)
@@ -129,7 +129,7 @@ class TaggedTable
     Way &
     allocate(std::uint64_t index, std::uint64_t tag, bool *was_hit = nullptr)
     {
-        const std::size_t s = index % sets;
+        const std::size_t s = setOf(index);
         for (unsigned w = 0; w < numWaysVal; ++w) {
             Way &way = ways[s * numWaysVal + w];
             if (way.valid && way.tag == tag) {
@@ -164,7 +164,7 @@ class TaggedTable
     wayAt(std::uint64_t index, unsigned way = 0)
     {
         lvp_assert(way < numWaysVal, "way %u out of range", way);
-        return ways[(index % sets) * numWaysVal + way];
+        return ways[setOf(index) * numWaysVal + way];
     }
 
     /** Invalidate the entry for (index, tag) if present. */
@@ -196,6 +196,11 @@ class TaggedTable
     }
 
   private:
+    std::size_t setOf(std::uint64_t index) const
+    {
+        return fastMod(index, sets);
+    }
+
     std::size_t sets = 0;
     unsigned numWaysVal = 1;
     std::uint64_t useClock = 0;

@@ -223,7 +223,7 @@ class PcAm : public AccuracyMonitor
     std::size_t
     indexOf(Addr pc) const
     {
-        return ((pc >> 2) ^ (pc >> 8)) % numEntries;
+        return fastMod((pc >> 2) ^ (pc >> 8), numEntries);
     }
 
     static std::uint16_t

@@ -224,9 +224,10 @@ class Cvp : public ComponentPredictor
     {
         ring.push(bit);
         for (unsigned t = 0; t < numTables; ++t) {
-            foldIdx[t].update(ring);
-            foldTag1[t].update(ring);
-            foldTag2[t].update(ring);
+            const unsigned out = ring.at(2 * cvpHistLengths[t]);
+            foldIdx[t].shift(bit, out);
+            foldTag1[t].shift(bit, out);
+            foldTag2[t].shift(bit, out);
         }
     }
 

@@ -58,6 +58,9 @@ EvesPredictor::EvesPredictor(const EvesConfig &config)
             bits, std::max(1u, ceilLog2(cfg.taggedEntries)));
         foldTag.emplace_back(bits, tagBits);
     }
+    lvp_assert(histLen.empty() || 2 * histLen.back() < ring.capacity(),
+               "EVES history length %u exceeds the history ring",
+               histLen.empty() ? 0 : histLen.back());
 }
 
 std::uint64_t
@@ -122,7 +125,7 @@ EvesPredictor::predict(const pipe::LoadProbe &probe)
         }
     }
     if (snap.provider < 0) {
-        const BaseEntry &b = base[(probe.pc >> 2) % base.size()];
+        const BaseEntry &b = base[fastMod(probe.pc >> 2, base.size())];
         vtage_value = b.value;
         vtage_conf = b.conf.atLeast(cfg.vtageConfThreshold);
     }
@@ -193,7 +196,7 @@ EvesPredictor::train(const pipe::LoadOutcome &o)
             }
         }
     } else {
-        BaseEntry &b = base[(o.pc >> 2) % base.size()];
+        BaseEntry &b = base[fastMod(o.pc >> 2, base.size())];
         if (b.value == o.value) {
             b.conf.increment(vtageFpc(), rng);
             provider_correct = true;
@@ -233,15 +236,18 @@ EvesPredictor::notifyBranch(Addr pc, bool taken, Addr target)
 {
     (void)target;
     pathHist = (pathHist << 2) | (taken ? 2 : 0) | ((pc >> 2) & 1);
-    ring.push(taken ? 1 : 0);
+    pushHistoryBit(taken ? 1 : 0);
+    pushHistoryBit(unsigned((pc >> 2) & 1));
+}
+
+void
+EvesPredictor::pushHistoryBit(unsigned in)
+{
+    ring.push(in);
     for (unsigned t = 0; t < cfg.numTagged; ++t) {
-        foldIdx[t].update(ring);
-        foldTag[t].update(ring);
-    }
-    ring.push(unsigned((pc >> 2) & 1));
-    for (unsigned t = 0; t < cfg.numTagged; ++t) {
-        foldIdx[t].update(ring);
-        foldTag[t].update(ring);
+        const unsigned out = ring.at(2 * histLen[t]);
+        foldIdx[t].shift(in, out);
+        foldTag[t].shift(in, out);
     }
 }
 

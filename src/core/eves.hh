@@ -91,6 +91,9 @@ class EvesPredictor : public pipe::LoadValuePredictor
     const char *name() const override { return "eves"; }
 
   private:
+    /** Push one history bit and shift every fold with it. */
+    void pushHistoryBit(unsigned in);
+
     // ---- E-Stride ----------------------------------------------------
     struct StrideEntry
     {

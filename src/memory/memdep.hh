@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bitutils.hh"
 #include "common/types.hh"
 
 namespace lvpsim
@@ -26,13 +27,17 @@ class MemDepPredictor
                              std::uint64_t clear_interval = 32768)
         : st{.waitBits = std::vector<bool>(entries, false)},
           clearInterval(clear_interval)
-    {}
+    {
+        lvp_assert(isPowerOf2(entries),
+                   "memdep table size %zu is not a power of two",
+                   entries);
+    }
 
     /** Should this load wait for older stores? */
     bool
     shouldWait(Addr pc)
     {
-        if (++st.accesses % clearInterval == 0)
+        if (fastMod(++st.accesses, clearInterval) == 0)
             std::fill(st.waitBits.begin(), st.waitBits.end(), false);
         return st.waitBits[index(pc)];
     }
@@ -69,7 +74,7 @@ class MemDepPredictor
     std::size_t
     index(Addr pc) const
     {
-        return (pc >> 2) % st.waitBits.size();
+        return (pc >> 2) & (st.waitBits.size() - 1);
     }
 
     State st;

@@ -24,7 +24,11 @@ class StridePrefetcher
     explicit StridePrefetcher(std::size_t entries = 64,
                               unsigned degree = 2)
         : st{.table = std::vector<Entry>(entries)}, prefetchDegree(degree)
-    {}
+    {
+        lvp_assert(isPowerOf2(entries),
+                   "prefetcher table size %zu is not a power of two",
+                   entries);
+    }
 
     /**
      * Observe a demand access; fills @p out with up to degree
@@ -34,7 +38,7 @@ class StridePrefetcher
     observe(Addr pc, Addr addr, std::vector<Addr> &out)
     {
         out.clear();
-        Entry &e = st.table[(pc >> 2) % st.table.size()];
+        Entry &e = st.table[(pc >> 2) & (st.table.size() - 1)];
         const std::uint16_t tag = std::uint16_t((pc >> 2) & 0x3ff);
         if (!e.valid || e.tag != tag) {
             e.valid = true;

@@ -1120,8 +1120,13 @@ Core::functionalWarmup(std::uint64_t n)
                "functionalWarmup needs a quiescent machine");
     const std::uint64_t end =
         std::min<std::uint64_t>(st.fetchIdx + n, code.size());
-    while (st.fetchIdx < end) {
-        const MicroOp &op = code[st.fetchIdx];
+    // The trace position lives in locals inside the loop (the calls
+    // below could alias st) and is written back when a progress tick
+    // fires and at the end.
+    const std::uint64_t begin = st.fetchIdx;
+    const std::uint64_t committedAt0 = st.committed - begin;
+    for (std::uint64_t i = begin; i < end; ++i) {
+        const MicroOp &op = code[i];
         // Branch-predictor training replicates fetchOne()'s
         // first-fetch sequence exactly; with an empty pipeline every
         // index is a first fetch (fetchIdx >= contextIdx always).
@@ -1154,13 +1159,16 @@ Core::functionalWarmup(std::uint64_t n)
           default:
             break;
         }
-        st.contextIdx = st.fetchIdx + 1;
-        ++st.fetchIdx;
-        ++st.committed;
-        if (st.committed >= nextProgressAt) {
+        if (committedAt0 + i + 1 >= nextProgressAt) {
+            st.contextIdx = st.fetchIdx = i + 1;
+            st.committed = committedAt0 + i + 1;
             progressHook(st.committed);
             nextProgressAt = st.committed + progressEvery;
         }
+    }
+    if (end > begin) {
+        st.contextIdx = st.fetchIdx = end;
+        st.committed = committedAt0 + end;
     }
 }
 

@@ -319,7 +319,7 @@ class Reader
     {
         const std::size_t n = r.count(1);
         const std::uint64_t head = r.u64();
-        if (!r.ok() || n == 0 || head >= n) {
+        if (!r.ok() || !isPowerOf2(n) || head >= n) {
             r.fail();
             return;
         }
@@ -371,7 +371,93 @@ class Reader
     BinReader &r;
 };
 
+/**
+ * Lists a value's geometry, walking its fields() lists like Writer:
+ * vector sizes, ring buffer and history ring capacities, fold
+ * lengths. Contents, and the sizes of maps and ring buffers that vary
+ * with content, are left out.
+ */
+class ShapeOf
+{
+  public:
+    explicit ShapeOf(std::vector<std::uint64_t> &out) : dims(out) {}
+
+    template <class... T>
+    void
+    operator()(const T &...xs)
+    {
+        (put(xs), ...);
+    }
+
+    template <class T>
+    void
+    put(const T &x)
+    {
+        // Arithmetic members, Xoshiro256, Prediction and SimStats
+        // have no geometry.
+        if constexpr (requires(T &y, ShapeOf &v) { y.fields(v); })
+            const_cast<T &>(x).fields(*this);
+    }
+
+    template <class T, std::size_t N>
+    void
+    put(const std::array<T, N> &a)
+    {
+        for (const T &e : a)
+            put(e);
+    }
+
+    template <class T>
+    void
+    put(const std::vector<T> &v)
+    {
+        dims.push_back(v.size());
+        // Elements of one type have one structure: when the first
+        // holds no geometry, none does (cache lines, table entries).
+        for (const T &e : v) {
+            const std::size_t before = dims.size();
+            put(e);
+            if (dims.size() == before)
+                break;
+        }
+    }
+
+    void put(const std::vector<bool> &v) { dims.push_back(v.size()); }
+
+    template <class T>
+    void
+    put(const RingBuffer<T> &rb)
+    {
+        dims.push_back(rb.capacity());
+    }
+
+    template <class K, class V, class H>
+    void
+    put(const FlatMap<K, V, H> &)
+    {}
+
+    void
+    put(const branch::FoldedHistory &f)
+    {
+        dims.push_back(f.length());
+        dims.push_back(f.foldedLength());
+    }
+
+    void put(const branch::HistoryRing &h) { dims.push_back(h.capacity()); }
+
+  private:
+    std::vector<std::uint64_t> &dims;
+};
+
 } // namespace
+
+std::vector<std::uint64_t>
+snapshotShape(const Core::Snapshot &s)
+{
+    std::vector<std::uint64_t> dims;
+    ShapeOf(dims).put(s);
+    return dims;
+}
 
 void
 serializeSnapshot(BinWriter &w, const SimStats &s)

@@ -18,13 +18,18 @@
  * input flips the BinReader's sticky fail flag (checked by the store,
  * which treats it as a miss) and never asserts or throws. A decoded
  * struct that declares `bool wellFormed() const` is checked with it.
- * Geometry mismatches (e.g. a snapshot from a differently sized
- * config) are caught one level up by the store key, which encodes the
- * full run config; this layer only validates what it needs to stay
- * memory-safe.
+ * Decoding alone does not make a snapshot safe to restore: a
+ * well-formed stream can still carry vectors, rings or folds of the
+ * wrong size for the core it is restored into, and the core indexes
+ * them by mask. The store compares a decoded snapshot's
+ * snapshotShape() with that of a core built from the run's config and
+ * treats a mismatch as a miss.
  */
 
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "common/binio.hh"
 #include "pipeline/core.hh"
@@ -50,6 +55,14 @@ void deserializeSnapshot(BinReader &r, SimStats &s);
 
 void serializeSnapshot(BinWriter &w, const Core::Snapshot &s);
 void deserializeSnapshot(BinReader &r, Core::Snapshot &s);
+
+/**
+ * The geometry of @p s, walked through the same fields() lists as the
+ * codec: every vector's size, every ring buffer's and history ring's
+ * capacity and every fold's lengths, in encode order. Two snapshots
+ * with equal shapes can be restored into the same cores.
+ */
+std::vector<std::uint64_t> snapshotShape(const Core::Snapshot &s);
 
 } // namespace pipe
 } // namespace lvpsim

@@ -133,7 +133,13 @@ BaselineCache::get(const std::string &workload, const RunConfig &rc)
                     ->buildSeconds;
         const auto t0 = Clock::now();
         pipe::NullPredictor none;
-        e.stats = runWorkload(workload, &none, rc);
+        if (rc.sampleK > 0) {
+            const auto sr = runSampledWorkload(workload, &none, rc);
+            e.stats = sr.stats;
+            e.sampledSeconds = sr.hostSeconds;
+        } else {
+            e.stats = runWorkload(workload, &none, rc);
+        }
         e.seconds = secondsSince(t0);
     });
 }
@@ -193,6 +199,7 @@ SuiteRunner::run(const std::string &label,
         r.base = base->stats;
         r.baseSeconds = base->seconds;
         r.checkpointSeconds = base->checkpointSeconds;
+        r.sampledSeconds = base->sampledSeconds;
         const auto t0 = Clock::now();
         auto vp = make_vp();
         if (rc.sampleK > 0) {
@@ -207,6 +214,7 @@ SuiteRunner::run(const std::string &label,
             r.sampleK = sr.sampleK;
             r.intervalLength = sr.intervalLen;
             r.checkpointSeconds = sr.checkpointSeconds;
+            r.sampledSeconds += sr.hostSeconds;
         } else {
             r.withVp = runWorkload(r.workload, vp.get(), rc);
         }

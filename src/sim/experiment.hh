@@ -22,6 +22,7 @@
 #include "core/lvp_interface.hh"
 #include "pipeline/sim_stats.hh"
 #include "sim/memo.hh"
+#include "sim/sampled.hh"
 #include "sim/simulator.hh"
 
 namespace lvpsim
@@ -51,6 +52,10 @@ struct WorkloadResult
     /// warmup nor sampling is active). Informational, like the
     /// fields above.
     double checkpointSeconds = 0.0;
+    /// Host seconds per part of this row's sampled runs, baseline
+    /// and VP run summed (the baseline's are 0 when it came from
+    /// the disk store). Informational; not in the results JSON.
+    SampledHostSeconds sampledSeconds;
 
     /// Sampled-run metadata (docs/sampling.md): true when the stats
     /// in this row were extrapolated from sampleK representative
@@ -107,6 +112,9 @@ class BaselineCache
         /// One-time warmup-checkpoint build cost for this key
         /// (0 when warmupInstrs == 0). Informational.
         double checkpointSeconds = 0.0;
+        /// Per-part host seconds of a sampled baseline run.
+        /// Informational and, unlike the fields above, not stored.
+        SampledHostSeconds sampledSeconds;
     };
     using EntryPtr = std::shared_ptr<const Entry>;
 

@@ -1,6 +1,7 @@
 #include "sim/sampled.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <vector>
 
@@ -18,6 +19,10 @@ namespace sim
 
 namespace
 {
+
+// lvplint: allow(determinism) -- feeds only SampledRunResult's
+// reporting-only host-seconds fields
+using Clock = std::chrono::steady_clock;
 
 /**
  * Fixed modeling floor added to the statistical confidence bound:
@@ -192,11 +197,19 @@ runSampledWorkload(const std::string &workload,
                "sampled runs replace warmupInstrs with functional "
                "fast-forward; use one or the other");
 
+    SampledRunResult out;
+    SampledHostSeconds &host = out.hostSeconds;
+    auto lap = [t = Clock::now()](double &part) mutable {
+        const auto now = Clock::now();
+        part += std::chrono::duration<double>(now - t).count();
+        t = now;
+    };
+
     auto ops = TraceCache::instance().get(workload, rc.maxInstrs,
                                           rc.traceSeed);
     auto plan = PlanCache::instance().get(workload, rc);
+    lap(host.plan);
 
-    SampledRunResult out;
     out.intervalLen = plan->intervalLen;
     out.sampleK = plan->reps.size();
     if (plan->reps.empty())
@@ -224,6 +237,7 @@ runSampledWorkload(const std::string &workload,
         CheckpointCache::instance().getIntervals(workload, rc, unique);
     for (const auto &ck : ckpts)
         out.checkpointSeconds += ck->buildSeconds;
+    lap(host.checkpoints);
 
     // ---- Simulate the representatives ----------------------------
     // Fixed iteration order (ascending interval index) so a shared
@@ -247,6 +261,14 @@ runSampledWorkload(const std::string &workload,
     std::uint64_t vpPos = 0;
     std::uint64_t vpToken = std::uint64_t(1) << 62;
 
+    // One core for the whole cell, restored for each representative:
+    // restoreState() overwrites every field of the core's State and
+    // rebuilds the scheduler indices from it, so a reused core resumes
+    // exactly like a fresh one (the k = 3 composite+sampled rows of
+    // the behaviour fingerprint pin this).
+    pipe::Core core(rc.core, *ops, vp);
+    lap(host.restore);
+
     for (std::size_t r = 0; r < plan->reps.size(); ++r) {
         const SampleRep &rep = plan->reps[r];
         const std::uint64_t start = rep.interval * L;
@@ -261,16 +283,18 @@ runSampledWorkload(const std::string &workload,
             functionalVpTrain(*ops, from, ckIdx[r], *vp, vpToken);
             vpPos = ckIdx[r];
         }
+        lap(host.vpTrain);
 
-        pipe::Core core(rc.core, *ops, vp);
         core.restoreState(ckpts[ckPos[r]]->core);
         installProgressHook(core, workload);
+        lap(host.restore);
         if (warm)
             core.run(warm); // detailed VP-active warmup, discarded
         const pipe::SimStats st = core.run(len);
         // Run the window dry so the shared predictor carries no
-        // per-token state into the next representative's core.
+        // per-token state into the next representative.
         core.drain();
+        lap(host.detailed);
         vpPos = std::max(vpPos, ckIdx[r] + warm + st.instructions);
 
         // Weighted-sum extrapolation: each counter scales by the

@@ -27,6 +27,30 @@ namespace lvpsim
 namespace sim
 {
 
+/**
+ * Host seconds spent in each part of one sampled run (reporting only:
+ * never part of SimStats, the results JSON or the fingerprint).
+ */
+struct SampledHostSeconds
+{
+    double plan = 0.0;        ///< plan fetch; profile + k-means on a miss
+    double checkpoints = 0.0; ///< checkpoint fetch; fast-forward on a miss
+    double vpTrain = 0.0;     ///< functional VP training before each rep
+    double restore = 0.0;     ///< building the core, restoring into it
+    double detailed = 0.0;    ///< detailed warmup, measurement, drain
+
+    SampledHostSeconds &
+    operator+=(const SampledHostSeconds &o)
+    {
+        plan += o.plan;
+        checkpoints += o.checkpoints;
+        vpTrain += o.vpTrain;
+        restore += o.restore;
+        detailed += o.detailed;
+        return *this;
+    }
+};
+
 /** Result of one sampled run: extrapolated stats plus error model. */
 struct SampledRunResult
 {
@@ -48,6 +72,8 @@ struct SampledRunResult
      *  rerun reports the same figure it reused, like the warmup
      *  checkpoint path). */
     double checkpointSeconds = 0.0;
+    /** Where this call's own host time went. */
+    SampledHostSeconds hostSeconds;
 };
 
 /**

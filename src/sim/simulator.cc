@@ -57,6 +57,26 @@ decodeCheckpoint(BinReader &r, SimCheckpoint &ck)
     return r.ok() && r.atEnd();
 }
 
+/**
+ * True when a snapshot decoded from the store has the geometry of a
+ * core built from @p rc, so restoring it is memory-safe; a mismatch
+ * is a store miss. Building the reference core costs more than a
+ * decode, so its shape is memoized per config.
+ */
+bool
+fitsCore(const pipe::Core::Snapshot &s, const RunConfig &rc)
+{
+    static Memo<std::vector<std::uint64_t>> shapes;
+    const auto shape = shapes.get(
+        runConfigKey(rc), [&](std::vector<std::uint64_t> &out) {
+            static const std::vector<trace::MicroOp> noCode;
+            pipe::Core::Snapshot fresh;
+            pipe::Core(rc.core, noCode, nullptr).saveState(fresh);
+            out = pipe::snapshotShape(fresh);
+        });
+    return pipe::snapshotShape(s) == *shape;
+}
+
 std::string
 intervalKey(const std::string &prefix, std::uint64_t idx)
 {
@@ -277,7 +297,8 @@ CheckpointCache::get(const std::string &workload, const RunConfig &rc)
             ck.buildSeconds = secondsSince(t0);
         },
         [&](const SimCheckpoint &ck) {
-            return ck.warmupInstrs == rc.warmupInstrs;
+            return ck.warmupInstrs == rc.warmupInstrs &&
+                   fitsCore(ck.core, rc);
         });
 }
 
@@ -407,7 +428,8 @@ CheckpointCache::getIntervals(const std::string &workload,
                             "ckpt:" + intervalKey(prefix, idx),
                             [&](BinReader &r) {
                                 return decodeCheckpoint(r, *ck) &&
-                                       ck->warmupInstrs == idx;
+                                       ck->warmupInstrs == idx &&
+                                       fitsCore(ck->core, rc);
                             })) {
                         ck->buildSeconds = secondsSince(t0);
                         if (!state->core) {

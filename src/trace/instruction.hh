@@ -55,21 +55,25 @@ isControl(OpClass c)
 /** One dynamic instruction. */
 struct MicroOp
 {
+    // Wide fields first, then narrow ones, so the struct packs into
+    // 48 bytes: every layer streams whole traces of these, so size is
+    // bandwidth.
     Addr pc = 0;
-    OpClass cls = OpClass::Nop;
+
+    /// Memory reference fields (Load/Store only).
+    Addr effAddr = 0;
+    Value memValue = 0;            ///< value loaded or stored
+
+    /// Control fields (Branch/Call/Ret/IndirBr only).
+    Addr target = 0;               ///< next PC actually followed
 
     RegId dst = invalidReg;
     std::array<RegId, 3> src{invalidReg, invalidReg, invalidReg};
 
-    /// Memory reference fields (Load/Store only).
-    Addr effAddr = 0;
+    OpClass cls = OpClass::Nop;
     std::uint8_t memSize = 0;      ///< access width in bytes (1/2/4/8)
-    Value memValue = 0;            ///< value loaded or stored
     bool exclusiveMem = false;     ///< atomic/exclusive: never predicted
-
-    /// Control fields (Branch/Call/Ret/IndirBr only).
     bool taken = false;
-    Addr target = 0;               ///< next PC actually followed
 
     bool isLoad() const { return cls == OpClass::Load; }
     bool isStore() const { return cls == OpClass::Store; }
@@ -95,6 +99,8 @@ struct MicroOp
         return n;
     }
 };
+
+static_assert(sizeof(MicroOp) == 48, "keep MicroOp's wide fields first");
 
 } // namespace trace
 } // namespace lvpsim

@@ -74,7 +74,14 @@ IntervalProfiler::IntervalProfiler(std::uint64_t interval_len)
 void
 IntervalProfiler::observe(const MicroOp &op)
 {
-    ++pcCounts[fnv1a64(op.pc >> 6) % IntervalSignature::pcDims];
+    // Consecutive ops mostly share a 64-byte block: hash each block
+    // once per run of ops in it.
+    const Addr block = op.pc >> 6;
+    if (block != lastBlock) {
+        lastBlock = block;
+        lastBucket = fnv1a64(block) % IntervalSignature::pcDims;
+    }
+    ++pcCounts[lastBucket];
     if (op.isPredictableLoad()) {
         if (haveLastLoad)
             ++strideCounts[strideBucket(lastLoadAddr, op.effAddr)];

@@ -91,6 +91,10 @@ class IntervalProfiler
     std::uint64_t loadsInInterval = 0;
     Addr lastLoadAddr = 0;
     bool haveLastLoad = false;
+    /// The last op's PC block and its bucket: a cache of the block
+    /// hash, so no reset is needed. `pc >> 6` never reaches ~0.
+    Addr lastBlock = ~Addr(0);
+    std::size_t lastBucket = 0;
     IntervalProfile profile;
 };
 

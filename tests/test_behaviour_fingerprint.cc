@@ -222,7 +222,10 @@ computeFingerprint()
         }
     }
     // Sampled runs go through the sim layer's plan, interval
-    // checkpoints and extrapolation.
+    // checkpoints and extrapolation. runSampledWorkload restores all
+    // k = 3 representatives into one Core. These rows pin the results
+    // of a fresh Core per representative, so they prove the reuse
+    // exact.
     for (const auto &w : trace::allWorkloadNames()) {
         sim::RunConfig rc;
         rc.maxInstrs = 6000;

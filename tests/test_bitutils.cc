@@ -110,3 +110,14 @@ TEST(BitUtils, Mix64SpreadsBits)
     int differing = __builtin_popcountll(mix64(1) ^ mix64(2));
     EXPECT_GT(differing, 16);
 }
+
+TEST(BitUtils, FastModMatchesModulo)
+{
+    const std::uint64_t xs[] = {0, 1, 5, 63, 64, 1023, 0xdeadbeefcafef00dull,
+                                ~std::uint64_t(0)};
+    for (std::uint64_t n : {1ull, 2ull, 3ull, 64ull, 100ull, 1024ull,
+                            3000ull, 1ull << 40}) {
+        for (std::uint64_t x : xs)
+            EXPECT_EQ(fastMod(x, n), x % n) << x << " mod " << n;
+    }
+}

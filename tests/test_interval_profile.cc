@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "common/binio.hh"
 #include "trace/interval_profile.hh"
 #include "trace/workloads.hh"
 
@@ -119,4 +124,65 @@ TEST(IntervalProfile, FinishResetsTheProfiler)
     for (const auto &op : trace)
         p.observe(op);
     EXPECT_TRUE(sameProfile(first, p.finish()));
+}
+
+namespace
+{
+
+/** FNV-1a over every interval's signature, size and load count. */
+std::uint64_t
+profileHash(const IntervalProfile &p)
+{
+    std::uint64_t h = fnv1a64(&p.totalInstructions,
+                              sizeof p.totalInstructions);
+    for (const auto &sig : p.intervals) {
+        h = fnv1a64(sig.v.data(), sizeof sig.v, h);
+        h = fnv1a64(&sig.instructions, sizeof sig.instructions, h);
+        h = fnv1a64(&sig.loads, sizeof sig.loads, h);
+    }
+    return h;
+}
+
+trace::MicroOp
+opAt(Addr pc, std::size_t i)
+{
+    trace::MicroOp op;
+    op.pc = pc;
+    if (i % 3 == 0) {
+        op.cls = trace::OpClass::Load;
+        op.effAddr = 0x100000 + 24 * (i % 37);
+        op.memSize = 8;
+    }
+    return op;
+}
+
+} // namespace
+
+TEST(IntervalProfile, BlockRunsMatchPinnedSignatures)
+{
+    // The profiler hashes each 64-byte PC block once per run of ops
+    // in it. These traces switch block on every op, never leave one
+    // block, and mix runs with revisits; their signatures are pinned
+    // to the values of the per-op hash the cache replaced.
+    std::vector<trace::MicroOp> alternating, oneBlock, mixed;
+    for (std::size_t i = 0; i < 1050; ++i) {
+        alternating.push_back(
+            opAt(i % 2 ? 0x10000 + 4 * (i % 8) : 0x20040 + 4 * (i % 5),
+                 i));
+        oneBlock.push_back(opAt(0x3000 + 4 * (i % 16), i));
+        const Addr blocks[] = {0x4000, 0x4040, 0x9000, 0x4000, 0x7fc0};
+        mixed.push_back(opAt(blocks[(i / 7) % 5] + 4 * (i % 3), i));
+    }
+    const std::pair<const char *, std::uint64_t> pinned[] = {
+        {"alternating", 0x65520f5425ef4039ull},
+        {"one block", 0x444cfa134d943840ull},
+        {"mixed", 0x8853181a14c500eaull},
+    };
+    const std::vector<trace::MicroOp> *traces[] = {&alternating,
+                                                   &oneBlock, &mixed};
+    for (std::size_t t = 0; t < 3; ++t) {
+        const auto h = profileHash(trace::profileTrace(*traces[t], 100));
+        EXPECT_EQ(h, pinned[t].second)
+            << pinned[t].first << ": 0x" << std::hex << h;
+    }
 }

@@ -4,19 +4,25 @@
  * post-warmup Core::Snapshot must survive an encode/decode round trip
  * byte-exactly, a restored core must resume identically to one that
  * never left memory, and every truncated payload must decode to a
- * clean failure (never a crash or a silently short snapshot).
+ * clean failure (never a crash or a silently short snapshot), and a
+ * snapshot that decodes but does not fit the core must be a store
+ * miss.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/binio.hh"
+#include "common/mmap_file.hh"
 #include "core/lvp_interface.hh"
 #include "pipeline/core.hh"
 #include "pipeline/snapshot_io.hh"
+#include "sim/checkpoint_store.hh"
 #include "sim/simulator.hh"
 
 using namespace lvpsim;
@@ -167,4 +173,136 @@ TEST(SnapshotIo, EncodedBytesMatchPinnedFormat)
             << w << ": snapshot bytes moved (0x" << std::hex
             << fnv1a64(bytes.data(), bytes.size()) << ")";
     }
+}
+
+TEST(SnapshotIo, MismatchedShapeIsRejected)
+{
+    // A store entry can decode cleanly (ok && atEnd, every part
+    // wellFormed) and still not fit the core it is restored into:
+    // the core indexes its tables by mask, so an empty or short
+    // vector, a smaller history ring or a fold longer than the ring
+    // would be read out of bounds or divide by zero. Each such entry
+    // must be a store miss, on the warmup path and on the sampled
+    // path's interval checkpoints: the run rebuilds the checkpoint
+    // and gets exactly the result of a run without a store.
+    using Snapshot = pipe::Core::Snapshot;
+    const std::pair<const char *, std::function<void(Snapshot &)>>
+        mutations[] = {
+            {"empty prefetcher table",
+             [](Snapshot &s) { s.memory.pf.table.clear(); }},
+            {"empty RAS",
+             [](Snapshot &s) {
+                 s.ras.entries.clear();
+                 s.ras.top = 0;
+                 s.ras.count = 0;
+             }},
+            {"empty memdep table",
+             [](Snapshot &s) { s.memdep.waitBits.clear(); }},
+            {"short L1D",
+             [](Snapshot &s) { s.memory.dcache.lines.resize(8); }},
+            {"short TLB", [](Snapshot &s) { s.memory.dtlb.sets.resize(2); }},
+            {"short TAGE table",
+             [](Snapshot &s) { s.tage.tables[0].resize(16); }},
+            {"fold longer than the ring",
+             [](Snapshot &s) {
+                 s.tage.foldIdx.back() = branch::FoldedHistory(5000, 10);
+             }},
+            {"smaller history ring",
+             [](Snapshot &s) { s.tage.ring = branch::HistoryRing(64); }},
+        };
+
+    const std::string dir = "/tmp/lvpsim_snapshot_shape_gtest";
+    auto wipe = [&] {
+        for (const DirEntry &e : listDir(dir))
+            removeFile(dir + "/" + e.name);
+        removeFile(dir);
+    };
+    wipe();
+    ASSERT_TRUE(makeDirs(dir));
+    auto &store = sim::CheckpointStore::instance();
+    auto &ckpts = sim::CheckpointCache::instance();
+    const char *workload = "hash_probe";
+
+    // Warmup path: CheckpointCache::get under runWorkload.
+    auto rc = warmRc();
+    rc.traceSeed = 211;
+    store.configure("", 0);
+    ckpts.clear();
+    const Snapshot good = ckpts.get(workload, rc)->core;
+    pipe::NullPredictor vp0;
+    const pipe::SimStats want = sim::runWorkload(workload, &vp0, rc);
+    const std::string warmKey = "ckpt:" + sim::runKey(workload, rc);
+
+    // Sampled path: one interval checkpoint, restored and run.
+    sim::RunConfig rcIv;
+    rcIv.maxInstrs = kWarmup + kMeasure;
+    rcIv.traceSeed = 212;
+    const std::uint64_t idx = kWarmup;
+    const auto ivOps = sim::TraceCache::instance().get(
+        workload, rcIv.maxInstrs, rcIv.traceSeed);
+    auto runInterval = [&] {
+        const auto ck = ckpts.getIntervals(workload, rcIv, {idx});
+        pipe::NullPredictor vp;
+        pipe::Core core(rcIv.core, *ivOps, &vp);
+        core.restoreState(ck[0]->core);
+        return core.run(kMeasure);
+    };
+    ckpts.clear();
+    const pipe::SimStats wantIv = runInterval();
+    const Snapshot goodIv = ckpts.getIntervals(workload, rcIv, {idx})[0]->core;
+    const std::string ivKey = "ckpt:" + sim::runKey(workload, rcIv) +
+                              "#interval" + std::to_string(idx);
+
+    auto publish = [&](const std::string &key, const Snapshot &s,
+                       std::uint64_t warmup) {
+        store.publish(key, [&](BinWriter &w) {
+            w.u32(pipe::kSnapshotFormatVersion);
+            pipe::serializeSnapshot(w, s);
+            w.u64(warmup);
+        });
+    };
+
+    for (const auto &[what, mutate] : mutations) {
+        Snapshot bad = good;
+        mutate(bad);
+        // The codec alone accepts the entry; only its shape is off.
+        const auto bytes = encode(bad);
+        BinReader r(bytes);
+        Snapshot decoded;
+        pipe::deserializeSnapshot(r, decoded);
+        EXPECT_TRUE(r.ok() && r.atEnd()) << what;
+
+        Snapshot badIv = goodIv;
+        mutate(badIv);
+
+        store.configure(dir, 0);
+        publish(warmKey, bad, rc.warmupInstrs);
+        publish(ivKey, badIv, idx);
+        ckpts.clear();
+        pipe::NullPredictor vp;
+        EXPECT_TRUE(sim::runWorkload(workload, &vp, rc) == want) << what;
+        EXPECT_TRUE(runInterval() == wantIv) << what;
+        store.configure("", 0);
+    }
+    ckpts.clear();
+    wipe();
+}
+
+TEST(SnapshotIo, ShapeIsGeometryNotContents)
+{
+    // A warmed core (full caches, live maps) and a fresh one of the
+    // same config have one shape; the store compares against it.
+    const auto rc = warmRc();
+    const std::vector<trace::MicroOp> noCode;
+    pipe::Core::Snapshot fresh;
+    pipe::Core(rc.core, noCode, nullptr).saveState(fresh);
+    const auto shape = pipe::snapshotShape(fresh);
+    EXPECT_EQ(pipe::snapshotShape(warmSnapshot("hash_probe")), shape);
+    EXPECT_EQ(pipe::snapshotShape(warmSnapshot("call_tree")), shape);
+
+    pipe::CoreConfig small = rc.core;
+    small.rasDepth = 8;
+    pipe::Core::Snapshot other;
+    pipe::Core(small, noCode, nullptr).saveState(other);
+    EXPECT_NE(pipe::snapshotShape(other), shape);
 }

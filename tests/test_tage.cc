@@ -1,7 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "branch/history.hh"
+#include "branch/ittage.hh"
 #include "branch/tage.hh"
+#include "common/bitutils.hh"
+#include "common/random.hh"
+#include "core/eves.hh"
+#include "core/vp_params.hh"
 
 using namespace lvpsim;
 using namespace lvpsim::branch;
@@ -40,14 +50,14 @@ TEST(FoldedHistory, FoldsRecentBitsOnly)
     bool saw_nonzero = false;
     for (int i = 0; i < 8; ++i) {
         ring.push(1);
-        f.update(ring);
+        f.shift(1, ring.at(f.length()));
         saw_nonzero |= f.value() != 0;
     }
     EXPECT_TRUE(saw_nonzero);
     // Push 8 zeros: the ones age out of the window completely.
     for (int i = 0; i < 8; ++i) {
         ring.push(0);
-        f.update(ring);
+        f.shift(0, ring.at(f.length()));
     }
     EXPECT_EQ(f.value(), 0u);
 }
@@ -60,7 +70,7 @@ TEST(FoldedHistory, WindowIsExact)
     FoldedHistory f1(8, 5), f2(8, 5);
     auto push = [](HistoryRing &r, FoldedHistory &f, unsigned b) {
         r.push(b);
-        f.update(r);
+        f.shift(b, r.at(f.length()));
     };
     for (int i = 0; i < 10; ++i)
         push(r1, f1, 1); // old bits: ones
@@ -72,6 +82,139 @@ TEST(FoldedHistory, WindowIsExact)
         push(r2, f2, b);
     }
     EXPECT_EQ(f1.value(), f2.value());
+}
+
+namespace
+{
+
+/** (origLength, compLength) of one fold. */
+using FoldShape = std::pair<unsigned, unsigned>;
+
+/** The fold of the newest @p orig bits of @p hist (newest last) into
+ *  @p comp bits, computed from scratch: the bit pushed d steps ago
+ *  lands at position d % comp. */
+std::uint32_t
+refold(const std::vector<std::uint8_t> &hist, unsigned orig,
+       unsigned comp)
+{
+    std::uint32_t v = 0;
+    for (unsigned d = 0; d < orig && d < hist.size(); ++d)
+        v ^= std::uint32_t(hist[hist.size() - 1 - d]) << (d % comp);
+    return v;
+}
+
+/**
+ * Push 100k random bits through a default-size ring (many times past
+ * wraparound), shifting every fold of @p shapes as the predictors do,
+ * and compare each fold with a from-scratch refold after every push.
+ */
+void
+expectShiftMatchesRefold(const std::vector<FoldShape> &shapes)
+{
+    ASSERT_FALSE(shapes.empty());
+    HistoryRing ring;
+    std::vector<FoldedHistory> folds;
+    for (const auto &[orig, comp] : shapes) {
+        ASSERT_LT(orig, ring.capacity());
+        folds.emplace_back(orig, comp);
+    }
+    std::vector<std::uint8_t> hist;
+    Xoshiro256 rng(0xf01d);
+    constexpr int pushes = 100000;
+    for (int i = 0; i < pushes; ++i) {
+        const unsigned in = unsigned(rng.next() & 1);
+        ring.push(in);
+        hist.push_back(std::uint8_t(in));
+        for (std::size_t f = 0; f < folds.size(); ++f) {
+            folds[f].shift(in, ring.at(folds[f].length()));
+            const std::uint32_t want =
+                refold(hist, shapes[f].first, shapes[f].second);
+            if (folds[f].value() != want) {
+                ADD_FAILURE() << "fold " << f << " (" << shapes[f].first
+                              << " -> " << shapes[f].second
+                              << ") diverges at push " << i << ": "
+                              << folds[f].value() << " vs " << want;
+                return;
+            }
+        }
+        // The reference only ever needs the newest 4096 bits.
+        if (hist.size() > 2 * ring.capacity())
+            hist.erase(hist.begin(), hist.end() - ring.capacity());
+    }
+}
+
+std::vector<FoldShape>
+shapesOf(const std::vector<std::vector<FoldedHistory>> &groups)
+{
+    std::vector<FoldShape> out;
+    for (const auto &g : groups)
+        for (const FoldedHistory &f : g)
+            out.emplace_back(f.length(), f.foldedLength());
+    return out;
+}
+
+/** Geometric history lengths, as TAGE, ITTAGE and EVES build them. */
+std::vector<unsigned>
+geometricLengths(unsigned n, unsigned minHist, unsigned maxHist)
+{
+    std::vector<unsigned> len(n);
+    const double ratio = std::pow(double(maxHist) / minHist,
+                                  1.0 / std::max(1u, n - 1));
+    double l = minHist;
+    for (unsigned t = 0; t < n; ++t) {
+        len[t] = std::max<unsigned>(1, unsigned(l + 0.5));
+        if (t > 0 && len[t] <= len[t - 1])
+            len[t] = len[t - 1] + 1;
+        l *= ratio;
+    }
+    return len;
+}
+
+} // anonymous namespace
+
+TEST(FoldedHistory, ShiftMatchesRefoldTageGeometry)
+{
+    Tage::State st;
+    Tage().saveState(st);
+    expectShiftMatchesRefold(shapesOf(
+        {st.foldIdx, st.foldTag1, st.foldTag2}));
+}
+
+TEST(FoldedHistory, ShiftMatchesRefoldIttageGeometry)
+{
+    Ittage::State st;
+    Ittage().saveState(st);
+    expectShiftMatchesRefold(
+        shapesOf({st.foldIdx, st.foldTag}));
+}
+
+TEST(FoldedHistory, ShiftMatchesRefoldCvpGeometry)
+{
+    // Cvp(1024): tables of 512/256/256 entries, two history bits per
+    // branch, index folds of log2(size) bits, tag folds of 14 and 13.
+    const unsigned idxBits[3] = {9, 8, 8};
+    std::vector<FoldShape> shapes;
+    for (unsigned t = 0; t < 3; ++t) {
+        const unsigned bits = 2 * vp::cvpHistLengths[t];
+        shapes.emplace_back(bits, idxBits[t]);
+        shapes.emplace_back(bits, vp::tagBits);
+        shapes.emplace_back(bits, vp::tagBits - 1);
+    }
+    expectShiftMatchesRefold(shapes);
+}
+
+TEST(FoldedHistory, ShiftMatchesRefoldEvesGeometry)
+{
+    // EvesConfig defaults: 6 tagged tables of 256 entries, two
+    // history bits per branch, tag folds of 14 bits.
+    const vp::EvesConfig cfg;
+    std::vector<FoldShape> shapes;
+    for (unsigned len :
+         geometricLengths(cfg.numTagged, cfg.minHist, cfg.maxHist)) {
+        shapes.emplace_back(2 * len, ceilLog2(cfg.taggedEntries));
+        shapes.emplace_back(2 * len, vp::tagBits);
+    }
+    expectShiftMatchesRefold(shapes);
 }
 
 TEST(HistoryRing, AtReturnsRecentBits)
