@@ -55,52 +55,6 @@ namespace sim
 {
 
 template <typename V>
-class Memo;
-
-/**
- * The find-or-insert half of Memo: key -> shared_ptr<S>, with S
- * default-constructed on first lookup. Memo keeps its once-built
- * slots here; CheckpointCache's interval claim protocol keeps its
- * own slot types in the same structure.
- */
-template <typename S>
-class SlotMap
-{
-  public:
-    /** The slot for @p key, inserted on first use. */
-    std::shared_ptr<S> slot(const std::string &key) EXCLUDES(mx)
-    {
-        {
-            ReaderLock rd(mx);
-            auto it = map.find(key);
-            if (it != map.end())
-                return it->second;
-        }
-        WriterLock wr(mx);
-        // try_emplace re-checks: another thread may have inserted.
-        return map.try_emplace(key, std::make_shared<S>())
-            .first->second;
-    }
-
-    /** Drop every slot; outstanding pointers stay valid. */
-    void clear() EXCLUDES(mx)
-    {
-        WriterLock wr(mx);
-        map.clear();
-    }
-
-  private:
-    template <typename>
-    friend class Memo;
-
-    mutable SharedMutex mx;
-    // lvplint: allow(determinism) -- keyed lookup map, never
-    // iterated; every value is a deterministic function of its key
-    std::unordered_map<std::string, std::shared_ptr<S>> map
-        GUARDED_BY(mx);
-};
-
-template <typename V>
 class Memo
 {
   public:
@@ -127,9 +81,9 @@ class Memo
     template <typename Build>
     Ptr get(const std::string &key, const Build &build,
             const std::function<bool(const V &)> &accept = nullptr)
-        EXCLUDES(slots.mx)
+        EXCLUDES(mx)
     {
-        const std::shared_ptr<Slot> s = slots.slot(key);
+        const std::shared_ptr<Slot> s = slot(key);
         std::call_once(s->once,
                        [&] { s->value = resolve(key, build, accept); });
         return s->value;
@@ -141,7 +95,12 @@ class Memo
         return built.load(std::memory_order_relaxed);
     }
 
-    void clear() EXCLUDES(slots.mx) { slots.clear(); }
+    /** Drop every slot; outstanding pointers stay valid. */
+    void clear() EXCLUDES(mx)
+    {
+        WriterLock wr(mx);
+        slots.clear();
+    }
 
   private:
     struct Slot
@@ -149,6 +108,21 @@ class Memo
         std::once_flag once;
         Ptr value;
     };
+
+    /** The slot for @p key, inserted on first use. */
+    std::shared_ptr<Slot> slot(const std::string &key) EXCLUDES(mx)
+    {
+        {
+            ReaderLock rd(mx);
+            auto it = slots.find(key);
+            if (it != slots.end())
+                return it->second;
+        }
+        WriterLock wr(mx);
+        // try_emplace re-checks: another thread may have inserted.
+        return slots.try_emplace(key, std::make_shared<Slot>())
+            .first->second;
+    }
 
     template <typename Build>
     Ptr resolve(const std::string &key, const Build &build,
@@ -183,7 +157,11 @@ class Memo
     }
 
     const Codec codec;
-    SlotMap<Slot> slots;
+    SharedMutex mx;
+    // lvplint: allow(determinism) -- keyed lookup map, never
+    // iterated; every value is a deterministic function of its key
+    std::unordered_map<std::string, std::shared_ptr<Slot>> slots
+        GUARDED_BY(mx);
     std::atomic<std::uint64_t> built{0};
 };
 

@@ -1,11 +1,11 @@
 #include "sim/simulator.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 
 #include "common/logging.hh"
+#include "common/sync.hh"
 #include "pipeline/snapshot_io.hh"
 #include "sim/checkpoint_store.hh"
 #include "sim/sampled.hh"
@@ -47,13 +47,43 @@ encodeCheckpoint(BinWriter &w, const SimCheckpoint &ck)
     w.u64(ck.warmupInstrs);
 }
 
+/** One encodeCheckpoint() payload, not necessarily the last. */
 bool
-decodeCheckpoint(BinReader &r, SimCheckpoint &ck)
+readCheckpoint(BinReader &r, SimCheckpoint &ck)
 {
     if (r.u32() != pipe::kSnapshotFormatVersion)
         return false;
     pipe::deserializeSnapshot(r, ck.core);
     ck.warmupInstrs = r.u64();
+    return r.ok();
+}
+
+bool
+decodeCheckpoint(BinReader &r, SimCheckpoint &ck)
+{
+    return readCheckpoint(r, ck) && r.atEnd();
+}
+
+/** An interval list: a u64 count, then that many checkpoints. */
+void
+encodeIntervals(BinWriter &w, const std::vector<SimCheckpoint> &list)
+{
+    w.u64(list.size());
+    for (const SimCheckpoint &ck : list)
+        encodeCheckpoint(w, ck);
+}
+
+bool
+decodeIntervals(BinReader &r, std::vector<SimCheckpoint> &list)
+{
+    // Every checkpoint takes at least its version and warmup fields;
+    // growing one element per decoded checkpoint keeps a corrupt
+    // count from allocating more than the payload can hold.
+    const std::size_t n =
+        r.count(sizeof(std::uint32_t) + sizeof(std::uint64_t));
+    for (std::size_t i = 0; i < n; ++i)
+        if (!readCheckpoint(r, list.emplace_back()))
+            return false;
     return r.ok() && r.atEnd();
 }
 
@@ -75,12 +105,6 @@ fitsCore(const pipe::Core::Snapshot &s, const RunConfig &rc)
             out = pipe::snapshotShape(fresh);
         });
     return pipe::snapshotShape(s) == *shape;
-}
-
-std::string
-intervalKey(const std::string &prefix, std::uint64_t idx)
-{
-    return prefix + "#interval" + std::to_string(idx);
 }
 
 } // anonymous namespace
@@ -267,7 +291,8 @@ TraceCache::info(const std::string &workload, std::size_t max_ops,
 }
 
 CheckpointCache::CheckpointCache()
-    : warm({"ckpt:", encodeCheckpoint, decodeCheckpoint})
+    : warm({"ckpt:", encodeCheckpoint, decodeCheckpoint}),
+      intervals({"ckpt:", encodeIntervals, decodeIntervals})
 {
 }
 
@@ -302,190 +327,51 @@ CheckpointCache::get(const std::string &workload, const RunConfig &rc)
         });
 }
 
-void
-CheckpointCache::publishInterval(TraceState &ts,
-                                 const std::string &prefix,
-                                 std::uint64_t idx, double buildSeconds)
-{
-    auto slot = intervals.slot(intervalKey(prefix, idx));
-    if (!slot->ready.load(std::memory_order_acquire)) {
-        auto ck = std::make_shared<SimCheckpoint>();
-        ck->warmupInstrs = idx;
-        ts.core->saveState(ck->core);
-        ck->buildSeconds = buildSeconds;
-        auto &store = CheckpointStore::instance();
-        if (store.enabled()) {
-            store.publish("ckpt:" + intervalKey(prefix, idx),
-                          [&](BinWriter &w) {
-                              encodeCheckpoint(w, *ck);
-                          });
-        }
-        slot->ckpt = std::move(ck);
-        slot->ready.store(true, std::memory_order_release);
-        intervalsBuilt.fetch_add(1, std::memory_order_relaxed);
-    }
-    MutexLock lk(ts.claimMx);
-    ts.claims.erase(idx);
-}
-
-void
-CheckpointCache::advanceAndPublish(TraceState &ts,
-                                   const std::string &prefix,
-                                   std::uint64_t target)
-{
-    // Chunked so claims registered by batches that arrive *while* we
-    // stream are still honored at the next chunk boundary instead of
-    // forcing that batch to re-traverse the whole gap.
-    constexpr std::uint64_t kClaimChunk = 65536;
-    auto segStart = WallClock::now();
-    if (ts.pos == target) {
-        // Already there (index 0 on a fresh core, or a prior batch
-        // parked the cursor exactly here): save without stepping.
-        publishInterval(ts, prefix, target, secondsSince(segStart));
-        return;
-    }
-    while (ts.pos < target) {
-        std::uint64_t stop = target;
-        {
-            MutexLock lk(ts.claimMx);
-            auto it = ts.claims.upper_bound(ts.pos);
-            if (it != ts.claims.end() && *it < stop)
-                stop = *it;
-        }
-        const std::uint64_t step =
-            std::min(stop - ts.pos, kClaimChunk);
-        ts.core->functionalWarmup(step);
-        ts.pos += step;
-        ffInstrs.fetch_add(step, std::memory_order_relaxed);
-
-        bool save = ts.pos == target;
-        if (!save) {
-            MutexLock lk(ts.claimMx);
-            save = ts.claims.count(ts.pos) > 0;
-        }
-        if (save) {
-            publishInterval(ts, prefix, ts.pos,
-                            secondsSince(segStart));
-            segStart = WallClock::now();
-        }
-    }
-}
-
 std::vector<CheckpointCache::CheckpointPtr>
 CheckpointCache::getIntervals(const std::string &workload,
                               const RunConfig &rc,
                               const std::vector<std::uint64_t> &indices)
 {
-    const std::string prefix = runKey(workload, rc);
-    auto state = traceStates.slot(prefix);
-
-    std::vector<std::shared_ptr<IntervalSlot>> slots;
-    slots.reserve(indices.size());
+    std::string key = runKey(workload, rc) + "#intervals";
     for (std::size_t i = 0; i < indices.size(); ++i) {
         lvp_assert(i == 0 || indices[i - 1] < indices[i],
                    "interval indices must be ascending and unique");
-        slots.push_back(intervals.slot(intervalKey(prefix, indices[i])));
+        key += '.' + std::to_string(indices[i]);
     }
-
-    // Claim every missing index *before* any building: whichever
-    // batch holds the streaming cursor saves a checkpoint at each
-    // claimed index it passes, so overlapping concurrent batches
-    // traverse each fast-forward gap once instead of once per batch.
-    {
-        MutexLock lk(state->claimMx);
-        for (std::size_t i = 0; i < indices.size(); ++i) {
-            if (!slots[i]->ready.load(std::memory_order_acquire))
-                state->claims.insert(indices[i]);
-        }
-    }
-
-    auto &store = CheckpointStore::instance();
-    std::vector<CheckpointPtr> out(indices.size());
-    CheckpointPtr prev;
-    std::uint64_t prevIdx = 0;
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-        const std::uint64_t idx = indices[i];
-        if (!slots[i]->ready.load(std::memory_order_acquire)) {
-            MutexLock lk(state->buildMx);
-            if (slots[i]->ready.load(std::memory_order_acquire)) {
-                // Another batch built it while we waited for the
-                // cursor; the claim (ours or theirs) is satisfied.
-                MutexLock clk(state->claimMx);
-                state->claims.erase(idx);
-            } else {
-                if (!state->ops) {
-                    state->ops = TraceCache::instance().get(
-                        workload, rc.maxInstrs + rc.warmupInstrs,
-                        rc.traceSeed);
-                }
-                // L2 first: an exact-index disk hit both serves this
-                // slot and teleports the cursor forward.
-                bool fromDisk = false;
-                if (store.enabled()) {
-                    auto ck = std::make_shared<SimCheckpoint>();
-                    const auto t0 = WallClock::now();
-                    if (store.tryLoad(
-                            "ckpt:" + intervalKey(prefix, idx),
-                            [&](BinReader &r) {
-                                return decodeCheckpoint(r, *ck) &&
-                                       ck->warmupInstrs == idx &&
-                                       fitsCore(ck->core, rc);
-                            })) {
-                        ck->buildSeconds = secondsSince(t0);
-                        if (!state->core) {
-                            state->core = std::make_unique<pipe::Core>(
-                                rc.core, *state->ops, nullptr);
-                            state->pos = 0;
-                            installProgressHook(*state->core,
-                                                workload +
-                                                    " (warmup)");
-                        }
-                        if (state->pos <= idx) {
-                            state->core->restoreState(ck->core);
-                            state->pos = idx;
-                        }
-                        slots[i]->ckpt = std::move(ck);
-                        slots[i]->ready.store(
-                            true, std::memory_order_release);
-                        MutexLock clk(state->claimMx);
-                        state->claims.erase(idx);
-                        fromDisk = true;
-                    }
-                }
-                if (!fromDisk) {
-                    if (!state->core || state->pos > idx) {
-                        state->core = std::make_unique<pipe::Core>(
-                            rc.core, *state->ops, nullptr);
-                        state->pos = 0;
-                        installProgressHook(*state->core,
-                                            workload + " (warmup)");
-                        if (prev && prevIdx <= idx) {
-                            state->core->restoreState(prev->core);
-                            state->pos = prevIdx;
-                        }
-                    }
-                    advanceAndPublish(*state, prefix, idx);
-                }
+    const auto list = intervals.get(
+        key,
+        [&](std::vector<SimCheckpoint> &out) {
+            auto ops = TraceCache::instance().get(
+                workload, rc.maxInstrs + rc.warmupInstrs,
+                rc.traceSeed);
+            pipe::Core core(rc.core, *ops, nullptr);
+            installProgressHook(core, workload + " (warmup)");
+            out.resize(indices.size());
+            for (std::size_t i = 0; i < indices.size(); ++i) {
+                const auto t0 = WallClock::now();
+                const std::uint64_t step =
+                    indices[i] - (i ? indices[i - 1] : 0);
+                core.functionalWarmup(step);
+                ffInstrs.fetch_add(step, std::memory_order_relaxed);
+                core.saveState(out[i].core);
+                out[i].warmupInstrs = indices[i];
+                out[i].buildSeconds = secondsSince(t0);
             }
-        } else {
-            // Already ready when we got here: drop any stale claim we
-            // registered so the cursor does not stop there for us.
-            MutexLock clk(state->claimMx);
-            state->claims.erase(idx);
-        }
-        out[i] = slots[i]->ckpt;
-        prev = out[i];
-        prevIdx = idx;
-    }
+        },
+        [&](const std::vector<SimCheckpoint> &list) {
+            if (list.size() != indices.size())
+                return false;
+            for (std::size_t i = 0; i < list.size(); ++i)
+                if (list[i].warmupInstrs != indices[i] ||
+                    !fitsCore(list[i].core, rc))
+                    return false;
+            return true;
+        });
+    std::vector<CheckpointPtr> out;
+    out.reserve(list->size());
+    for (const SimCheckpoint &ck : *list)
+        out.emplace_back(list, &ck);
     return out;
-}
-
-void
-CheckpointCache::clear()
-{
-    warm.clear();
-    intervals.clear();
-    traceStates.clear();
 }
 
 pipe::SimStats

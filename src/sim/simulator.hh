@@ -9,11 +9,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "common/sync.hh"
 #include "core/lvp_interface.hh"
 #include "pipeline/core.hh"
 #include "pipeline/core_config.hh"
@@ -167,9 +165,11 @@ pipe::SimStats runWorkload(const std::string &workload,
                            const RunConfig &rc);
 
 /**
- * The post-warmup machine state for one (workload, RunConfig) key,
- * plus how long it took to build (wall-clock, reporting only; 0 when
- * CheckpointCache::get() loaded it from the disk store).
+ * The machine state after warmupInstrs instructions of one
+ * (workload, RunConfig) key, plus how long it took to build
+ * (wall-clock, reporting only; 0 when it was loaded from the disk
+ * store). In an interval list, each checkpoint's build time covers
+ * the fast-forward from the previous one.
  */
 struct SimCheckpoint
 {
@@ -179,9 +179,9 @@ struct SimCheckpoint
 };
 
 /**
- * Process-wide memo of post-warmup checkpoints, keyed by runKey().
- * A sim::Memo (memo.hh) with the disk store as L2 under "ckpt:" keys;
- * generations() counts only real simulations.
+ * Process-wide memo of post-warmup and interval checkpoints, keyed
+ * by runKey(). Two sim::Memos (memo.hh) with the disk store as L2
+ * under "ckpt:" keys; generations() counts only real simulations.
  */
 class CheckpointCache
 {
@@ -198,81 +198,42 @@ class CheckpointCache
      * Interval checkpoints for sampled runs: the machine state after
      * functionally fast-forwarding (Core::functionalWarmup) to each
      * instruction index in @p indices, which must be sorted ascending
-     * with no duplicates. All batches over one trace share a single
-     * streaming builder cursor, and every batch registers its missing
-     * indices as *claims* before building: whichever batch is
-     * currently streaming saves and publishes a checkpoint at each
-     * claimed index it passes, so each fast-forward gap is traversed
-     * once process-wide instead of once per concurrent batch. Each
-     * slot is keyed like get(), with the interval index appended,
-     * and is served from the disk store when enabled.
+     * with no duplicates. The whole list is one memo entry, keyed
+     * like get() with "#intervals." and the indices appended, built
+     * in one pass over the trace and served from the disk store when
+     * enabled; the returned pointers alias that list.
      */
     std::vector<CheckpointPtr>
     getIntervals(const std::string &workload, const RunConfig &rc,
                  const std::vector<std::uint64_t> &indices);
 
-    /** Number of checkpoints actually simulated (not cache hits). */
+    /** Number of checkpoints and interval lists actually simulated
+     *  (not cache hits). */
     std::uint64_t generations() const
     {
-        return warm.generations() +
-               intervalsBuilt.load(std::memory_order_relaxed);
+        return warm.generations() + intervals.generations();
     }
 
     /** Total instructions functionally fast-forwarded by interval
-     *  checkpoint building (regression hook for the claim logic:
-     *  overlapping batches must not re-traverse shared gaps). */
+     *  list builds (0 for lists served from memory or disk). */
     std::uint64_t ffInstructions() const
     {
         return ffInstrs.load(std::memory_order_relaxed);
     }
 
     /** Drop every cached checkpoint (test hook; not used by benches). */
-    void clear();
+    void clear()
+    {
+        warm.clear();
+        intervals.clear();
+    }
 
     /** The process-wide cache used by runWorkload(). */
     static CheckpointCache &instance();
 
   private:
-    /**
-     * Interval slots publish through an atomic flag instead of a
-     * once_flag because the *builder* of a slot is not necessarily
-     * the batch that requested it: `ckpt` is written (under the
-     * trace's buildMx) before `ready` is released, and readers load
-     * `ready` with acquire before touching `ckpt`.
-     */
-    struct IntervalSlot
-    {
-        std::atomic<bool> ready{false};
-        CheckpointPtr ckpt;
-    };
-
-    /** Shared streaming-builder state for one trace prefix. */
-    struct TraceState
-    {
-        Mutex buildMx; ///< at most one batch streams at a time
-        TraceCache::TracePtr ops GUARDED_BY(buildMx);
-        std::unique_ptr<pipe::Core> core GUARDED_BY(buildMx);
-        std::uint64_t pos GUARDED_BY(buildMx) = 0;
-
-        Mutex claimMx;
-        /** Indices some in-flight batch still needs built. */
-        std::set<std::uint64_t> claims GUARDED_BY(claimMx);
-    };
-
-    /** Stream ts.core from ts.pos to @p target, saving + publishing
-     *  a checkpoint at every claimed index passed (and at target). */
-    void advanceAndPublish(TraceState &ts, const std::string &prefix,
-                           std::uint64_t target) REQUIRES(ts.buildMx);
-
-    /** Publish ts.core's state as interval @p idx and drop its claim. */
-    void publishInterval(TraceState &ts, const std::string &prefix,
-                         std::uint64_t idx, double buildSeconds)
-        REQUIRES(ts.buildMx);
-
     Memo<SimCheckpoint> warm;
-    SlotMap<IntervalSlot> intervals;
-    SlotMap<TraceState> traceStates;
-    std::atomic<std::uint64_t> intervalsBuilt{0};
+    Memo<std::vector<SimCheckpoint>> intervals;
     std::atomic<std::uint64_t> ffInstrs{0};
 };
 

@@ -73,31 +73,55 @@ TEST(RunConfigKey, DistinguishesEveryRelevantKnob)
 
 TEST(CheckpointCache, ConcurrentSameKeyBuildsOnce)
 {
+    // Two inputs: the post-warmup checkpoint of one run key, and the
+    // interval list of a sampled run key. Either way, racing threads
+    // share one build and get the identical entries.
     auto &cache = sim::CheckpointCache::instance();
     cache.clear();
-    const auto rc = shortRun(4000);
-    const std::uint64_t gen0 = cache.generations();
-
     constexpr int kThreads = 8;
-    std::vector<sim::CheckpointCache::CheckpointPtr> got(kThreads);
-    {
+    const auto race = [&](const auto &fetch) {
+        std::vector<std::vector<sim::CheckpointCache::CheckpointPtr>>
+            got(kThreads);
         std::vector<std::thread> threads;
         for (int t = 0; t < kThreads; ++t)
-            threads.emplace_back([&, t] {
-                got[t] = cache.get(kWorkload, rc);
-            });
+            threads.emplace_back([&, t] { got[t] = fetch(); });
         for (auto &th : threads)
             th.join();
-    }
+        for (int t = 0; t < kThreads; ++t)
+            EXPECT_EQ(got[t], got[0]) << "thread " << t
+                                      << " got different entries";
+        return got[0];
+    };
 
+    const auto rc = shortRun(4000);
+    std::uint64_t gen0 = cache.generations();
+    const auto warm = race([&] {
+        return std::vector{cache.get(kWorkload, rc)};
+    });
     EXPECT_EQ(cache.generations() - gen0, 1u)
         << "same-key checkpoint simulated more than once";
-    for (int t = 0; t < kThreads; ++t) {
-        ASSERT_NE(got[t], nullptr);
-        EXPECT_EQ(got[t], got[0]) << "thread " << t
-                                  << " got a different entry";
+    ASSERT_NE(warm[0], nullptr);
+    EXPECT_EQ(warm[0]->warmupInstrs, rc.warmupInstrs);
+
+    sim::RunConfig sampled;
+    sampled.maxInstrs = 6000;
+    sampled.sampleK = 3;
+    sampled.sampleIntervalLen = 1000;
+    const std::vector<std::uint64_t> idx{0, 1000, 4000};
+    gen0 = cache.generations();
+    const std::uint64_t ff0 = cache.ffInstructions();
+    const auto list = race([&] {
+        return cache.getIntervals(kWorkload, sampled, idx);
+    });
+    EXPECT_EQ(cache.generations() - gen0, 1u)
+        << "same-key interval list simulated more than once";
+    EXPECT_EQ(cache.ffInstructions() - ff0, idx.back())
+        << "the list build fast-forwarded more than one pass";
+    ASSERT_EQ(list.size(), idx.size());
+    for (std::size_t i = 0; i < idx.size(); ++i) {
+        ASSERT_NE(list[i], nullptr);
+        EXPECT_EQ(list[i]->warmupInstrs, idx[i]);
     }
-    EXPECT_EQ(got[0]->warmupInstrs, rc.warmupInstrs);
 }
 
 TEST(CheckpointCache, DistinctKeysBuildSeparately)

@@ -15,9 +15,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/binio.hh"
 #include "common/mmap_file.hh"
@@ -53,7 +54,10 @@ class StoreTest : public ::testing::Test
     {
         const auto *info =
             ::testing::UnitTest::GetInstance()->current_test_info();
-        dir = std::string("/tmp/lvpsim_store_gtest_") + info->name();
+        // Per process too: ctest runs each test alone and again
+        // inside the `store_suite` binary run, possibly at once.
+        dir = std::string("/tmp/lvpsim_store_gtest_") + info->name() +
+              "_" + std::to_string(getpid());
         wipe();
         ASSERT_TRUE(makeDirs(dir));
     }
@@ -458,71 +462,62 @@ TEST_F(StoreTest, WarmDiskSuiteRunMatchesColdInlineRun)
     }
 }
 
-TEST_F(StoreTest, SequentialOverlappingBatchesTraverseGapsOnce)
+TEST_F(StoreTest, WarmDiskSampledSuiteMatchesCold)
 {
-    // Regression for the interval-claim redesign: batch B's indices
-    // extend past batch A's, so B must resume from A's cursor
-    // position instead of re-fast-forwarding from zero.
-    sim::CheckpointStore::instance().configure("", 0);
-    auto &cache = sim::CheckpointCache::instance();
-    cache.clear();
-
+    // The sampled counterpart: plans and interval-checkpoint lists
+    // served from a warm disk store must reproduce the cold rows
+    // exactly, at --jobs 1 and --jobs 4, without re-profiling or
+    // re-fast-forwarding anything.
+    const std::vector<std::string> suite = {"stream_sum",
+                                            "pointer_chase",
+                                            "hash_probe"};
     sim::RunConfig rc;
-    rc.maxInstrs = 50000;
-    rc.traceSeed = 105;
+    rc.maxInstrs = 20000;
+    rc.traceSeed = 109;
+    rc.sampleK = 3;
+    rc.sampleIntervalLen = 2000;
+    const auto makeVp = [] {
+        return vp::makeSinglePredictor(pipe::ComponentId::LVP, 512);
+    };
 
-    const auto ff0 = cache.ffInstructions();
-    (void)cache.getIntervals("stream_sum", rc, {10000});
-    EXPECT_EQ(cache.ffInstructions() - ff0, 10000u);
-    (void)cache.getIntervals("stream_sum", rc, {10000, 20000});
-    EXPECT_EQ(cache.ffInstructions() - ff0, 20000u)
-        << "overlapping batch re-traversed the shared gap";
-}
+    auto &ckpts = sim::CheckpointCache::instance();
+    auto &plans = sim::PlanCache::instance();
+    auto clearAll = [&] {
+        ckpts.clear();
+        sim::BaselineCache::instance().clear();
+        plans.clear();
+    };
 
-TEST_F(StoreTest, ConcurrentOverlappingBatchesShareTheCursor)
-{
     sim::CheckpointStore::instance().configure("", 0);
-    auto &cache = sim::CheckpointCache::instance();
-    cache.clear();
+    clearAll();
+    const auto ref = sim::SuiteRunner(suite, rc, 1).run("lvp", makeVp);
 
-    sim::RunConfig rc;
-    rc.maxInstrs = 60000;
-    rc.traceSeed = 106;
-    // Generate the trace up front so the racing batches contend on
-    // the claim/cursor logic, not on trace generation.
-    (void)sim::TraceCache::instance().get("hash_probe", rc.maxInstrs,
-                                          rc.traceSeed);
+    sim::CheckpointStore::instance().configure(dir, 0);
+    clearAll();
+    (void)sim::SuiteRunner(suite, rc, 2).run("lvp", makeVp);
 
-    const auto ff0 = cache.ffInstructions();
-    const auto gen0 = cache.generations();
-    std::vector<sim::CheckpointCache::CheckpointPtr> a, b;
-    {
-        std::thread ta([&] {
-            a = cache.getIntervals("hash_probe", rc, {10000, 30000});
-        });
-        std::thread tb([&] {
-            b = cache.getIntervals("hash_probe", rc,
-                                   {10000, 20000, 30000});
-        });
-        ta.join();
-        tb.join();
+    for (std::size_t jobs : {std::size_t(1), std::size_t(4)}) {
+        clearAll();
+        sim::CheckpointStore::instance().resetCounters();
+        const auto ckGen0 = ckpts.generations();
+        const auto planGen0 = plans.generations();
+        const auto got =
+            sim::SuiteRunner(suite, rc, jobs).run("lvp", makeVp);
+        EXPECT_GT(sim::CheckpointStore::instance().hits(), 0u)
+            << "jobs " << jobs << ": warm run never touched disk";
+        EXPECT_EQ(ckpts.generations(), ckGen0)
+            << "jobs " << jobs << ": interval lists were rebuilt";
+        EXPECT_EQ(plans.generations(), planGen0)
+            << "jobs " << jobs << ": plans were rebuilt";
+        ASSERT_EQ(got.rows.size(), ref.rows.size());
+        for (std::size_t i = 0; i < ref.rows.size(); ++i) {
+            EXPECT_EQ(flat(got.rows[i].base), flat(ref.rows[i].base))
+                << "jobs " << jobs << " row " << i;
+            EXPECT_EQ(flat(got.rows[i].withVp),
+                      flat(ref.rows[i].withVp))
+                << "jobs " << jobs << " row " << i;
+        }
     }
-
-    // Whatever the interleaving, each index is simulated exactly
-    // once. Fast-forward work is bounded by the claim design: the
-    // ideal single pass is 30000 instructions; a batch whose claim
-    // registration loses the race to the streaming cursor re-covers
-    // at most one inter-index gap (10000 here) from the nearest
-    // completed checkpoint — never the whole prefix from zero.
-    EXPECT_EQ(cache.generations() - gen0, 3u);
-    EXPECT_GE(cache.ffInstructions() - ff0, 30000u);
-    EXPECT_LE(cache.ffInstructions() - ff0, 40000u);
-    ASSERT_EQ(a.size(), 2u);
-    ASSERT_EQ(b.size(), 3u);
-    EXPECT_EQ(a[0], b[0]);
-    EXPECT_EQ(a[1], b[2]);
-    for (const auto &c : b)
-        ASSERT_NE(c, nullptr);
 }
 
 TEST_F(StoreTest, RejectedEntryLeavesNoTrace)

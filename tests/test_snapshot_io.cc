@@ -17,6 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/binio.hh"
 #include "common/mmap_file.hh"
 #include "core/lvp_interface.hh"
@@ -211,7 +213,9 @@ TEST(SnapshotIo, MismatchedShapeIsRejected)
              [](Snapshot &s) { s.tage.ring = branch::HistoryRing(64); }},
         };
 
-    const std::string dir = "/tmp/lvpsim_snapshot_shape_gtest";
+    // Per process: ctest also runs this test inside `store_suite`.
+    const std::string dir = "/tmp/lvpsim_snapshot_shape_gtest_" +
+                            std::to_string(getpid());
     auto wipe = [&] {
         for (const DirEntry &e : listDir(dir))
             removeFile(dir + "/" + e.name);
@@ -233,32 +237,47 @@ TEST(SnapshotIo, MismatchedShapeIsRejected)
     const pipe::SimStats want = sim::runWorkload(workload, &vp0, rc);
     const std::string warmKey = "ckpt:" + sim::runKey(workload, rc);
 
-    // Sampled path: one interval checkpoint, restored and run.
+    // Sampled path: a two-checkpoint interval list, the last one
+    // restored and run.
     sim::RunConfig rcIv;
     rcIv.maxInstrs = kWarmup + kMeasure;
     rcIv.traceSeed = 212;
-    const std::uint64_t idx = kWarmup;
+    const std::vector<std::uint64_t> idx{kWarmup / 2, kWarmup};
     const auto ivOps = sim::TraceCache::instance().get(
         workload, rcIv.maxInstrs, rcIv.traceSeed);
     auto runInterval = [&] {
-        const auto ck = ckpts.getIntervals(workload, rcIv, {idx});
+        const auto ck = ckpts.getIntervals(workload, rcIv, idx);
         pipe::NullPredictor vp;
         pipe::Core core(rcIv.core, *ivOps, &vp);
-        core.restoreState(ck[0]->core);
+        core.restoreState(ck.back()->core);
         return core.run(kMeasure);
     };
     ckpts.clear();
     const pipe::SimStats wantIv = runInterval();
-    const Snapshot goodIv = ckpts.getIntervals(workload, rcIv, {idx})[0]->core;
+    std::vector<Snapshot> goodIv;
+    for (const auto &ck : ckpts.getIntervals(workload, rcIv, idx))
+        goodIv.push_back(ck->core);
     const std::string ivKey = "ckpt:" + sim::runKey(workload, rcIv) +
-                              "#interval" + std::to_string(idx);
+                              "#intervals." + std::to_string(idx[0]) +
+                              "." + std::to_string(idx[1]);
 
+    const auto writeCheckpoint = [](BinWriter &w, const Snapshot &s,
+                                    std::uint64_t warmup) {
+        w.u32(pipe::kSnapshotFormatVersion);
+        pipe::serializeSnapshot(w, s);
+        w.u64(warmup);
+    };
     auto publish = [&](const std::string &key, const Snapshot &s,
                        std::uint64_t warmup) {
-        store.publish(key, [&](BinWriter &w) {
-            w.u32(pipe::kSnapshotFormatVersion);
-            pipe::serializeSnapshot(w, s);
-            w.u64(warmup);
+        store.publish(key,
+                      [&](BinWriter &w) { writeCheckpoint(w, s, warmup); });
+    };
+    auto publishList = [&](const std::vector<Snapshot> &list,
+                           const std::vector<std::uint64_t> &warmups) {
+        store.publish(ivKey, [&](BinWriter &w) {
+            w.u64(list.size());
+            for (std::size_t i = 0; i < list.size(); ++i)
+                writeCheckpoint(w, list[i], warmups[i]);
         });
     };
 
@@ -272,16 +291,39 @@ TEST(SnapshotIo, MismatchedShapeIsRejected)
         pipe::deserializeSnapshot(r, decoded);
         EXPECT_TRUE(r.ok() && r.atEnd()) << what;
 
-        Snapshot badIv = goodIv;
-        mutate(badIv);
+        std::vector<Snapshot> badIv = goodIv;
+        for (Snapshot &s : badIv)
+            mutate(s);
 
         store.configure(dir, 0);
         publish(warmKey, bad, rc.warmupInstrs);
-        publish(ivKey, badIv, idx);
+        publishList(badIv, idx);
         ckpts.clear();
+        const auto gen0 = ckpts.generations();
         pipe::NullPredictor vp;
         EXPECT_TRUE(sim::runWorkload(workload, &vp, rc) == want) << what;
         EXPECT_TRUE(runInterval() == wantIv) << what;
+        EXPECT_EQ(ckpts.generations() - gen0, 2u)
+            << what << ": a misshapen entry was served";
+        store.configure("", 0);
+    }
+
+    // List-level forgeries: every checkpoint fits the core, but the
+    // list is not the one that was asked for.
+    const std::pair<const char *, std::function<void()>> forgeries[] = {
+        {"one checkpoint short",
+         [&] { publishList({goodIv[0]}, {idx[0]}); }},
+        {"first warmup off by one",
+         [&] { publishList(goodIv, {idx[0] + 1, idx[1]}); }},
+    };
+    for (const auto &[what, forge] : forgeries) {
+        store.configure(dir, 0);
+        forge();
+        ckpts.clear();
+        const auto gen0 = ckpts.generations();
+        EXPECT_TRUE(runInterval() == wantIv) << what;
+        EXPECT_EQ(ckpts.generations() - gen0, 1u)
+            << what << ": the forged list was served";
         store.configure("", 0);
     }
     ckpts.clear();

@@ -18,9 +18,8 @@
 #
 # The TSan tree additionally runs the differential, sampling, and
 # store labels at ctest -j4 — four concurrent simulations hammering
-# the sim::Memo slot discipline (src/sim/memo.hh) behind every cache,
-# the interval-claim protocol, and the CheckpointStore claim/publish
-# protocol (test_checkpoint_store and the two-process
+# the sim::Memo slot discipline (src/sim/memo.hh) behind every cache
+# and the CheckpointStore claim/publish protocol (test_checkpoint_store and the two-process
 # store_concurrency gate), which is exactly the interleaving the
 # annotated locking contracts (common/sync.hh,
 # docs/static_analysis.md) claim to make safe.
