@@ -24,9 +24,11 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/composite.hh"
@@ -172,6 +174,50 @@ finishBench()
     std::cout << "results: " << o.jsonPath << " ("
               << o.recorded.size() << " suite runs)\n";
     return 0;
+}
+
+/** The host CPU's model name, or "unknown" where the OS hides it. */
+inline std::string
+cpuModel()
+{
+    std::ifstream is("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(is, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const auto colon = line.find(':');
+        if (colon == std::string::npos)
+            break;
+        const auto start = line.find_first_not_of(" \t", colon + 1);
+        return start == std::string::npos ? "unknown"
+                                           : line.substr(start);
+    }
+    return "unknown";
+}
+
+/**
+ * Which build and host produced a BENCH_*.json: git commit (read at
+ * configure time), compiler, flags, build type, whether LVPSIM_CHECK
+ * invariants are compiled in, and the CPU. Stamped into each file as
+ * its top-level "provenance" object.
+ */
+inline sim::JsonValue
+provenance()
+{
+    sim::JsonValue p = sim::JsonValue::object();
+    p.set("git_sha", LVPSIM_GIT_SHA);
+    p.set("compiler", LVPSIM_COMPILER);
+    p.set("cxx_flags", LVPSIM_CXX_FLAGS);
+    p.set("build_type", LVPSIM_BUILD_TYPE);
+#ifdef LVPSIM_ASSERTIONS
+    p.set("assertions", true);
+#else
+    p.set("assertions", false);
+#endif
+    p.set("cpu_model", cpuModel());
+    p.set("hardware_threads",
+          std::uint64_t(std::thread::hardware_concurrency()));
+    return p;
 }
 
 /** Scale the paper's 1M-instruction epochs to the run length. */

@@ -252,6 +252,7 @@ main(int argc, char **argv)
                           ? std::getenv("LVPSIM_SUITE")
                           : "full");
     doc.set("meta", std::move(meta));
+    doc.set("provenance", bench::provenance());
     sim::JsonValue rows_json = sim::JsonValue::array();
     for (const auto &m : rows) {
         sim::JsonValue r = sim::JsonValue::object();

@@ -337,6 +337,7 @@ main(int argc, char **argv)
                           : "full");
     meta.set("workloads", std::uint64_t(W));
     doc.set("meta", std::move(meta));
+    doc.set("provenance", bench::provenance());
     sim::JsonValue full_j = sim::JsonValue::object();
     full_j.set("wall_seconds", full_wall);
     doc.set("full", std::move(full_j));

@@ -394,6 +394,7 @@ main(int argc, char **argv)
         meta.set("configs", std::uint64_t(C));
         meta.set("workloads", std::uint64_t(W));
         doc.set("meta", std::move(meta));
+        doc.set("provenance", bench::provenance());
         doc.set(phase, phaseJson(r));
         doc.set("results_checksum", resultsChecksum(r));
         std::ofstream os(json_path);
@@ -508,6 +509,7 @@ main(int argc, char **argv)
     meta.set("configs", std::uint64_t(C));
     meta.set("workloads", std::uint64_t(W));
     doc.set("meta", std::move(meta));
+    doc.set("provenance", bench::provenance());
     doc.set("inline", phaseJson(inline_r));
     doc.set("no_memo", phaseJson(no_memo));
     doc.set("cold", phaseJson(cold));

@@ -23,13 +23,17 @@ using Cycle = std::uint64_t;
 using InstSeqNum = std::uint64_t;
 
 /** Architectural register identifier. */
-using RegId = std::uint16_t;
+using RegId = std::uint8_t;
 
 /** Sentinel meaning "no register". */
-constexpr RegId invalidReg = 0xffff;
+constexpr RegId invalidReg = 0xff;
 
 /** Number of modeled architectural integer registers. */
 constexpr RegId numArchRegs = 64;
+
+static_assert(numArchRegs < invalidReg,
+              "every architectural register id must fit below the "
+              "no-register sentinel");
 
 } // namespace lvpsim
 

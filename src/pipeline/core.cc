@@ -140,7 +140,7 @@ Core::commitStage()
             rec.traceIdx = f.traceIdx;
             rec.pc = op.pc;
             rec.cls = op.cls;
-            rec.effAddr = op.effAddr;
+            rec.effAddr = op.memAddr();
             rec.memSize = op.memSize;
             rec.value = op.memValue;
             commitHook(rec);

@@ -65,7 +65,7 @@ struct CommitRecord
     std::uint64_t traceIdx = 0;
     Addr pc = 0;
     trace::OpClass cls = trace::OpClass::Nop;
-    Addr effAddr = 0;
+    Addr effAddr = 0;          ///< memory ops only; 0 for the rest
     std::uint8_t memSize = 0;
     Value value = 0;
 };

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/types.hh"
 
@@ -55,17 +56,24 @@ isControl(OpClass c)
 /** One dynamic instruction. */
 struct MicroOp
 {
-    // Wide fields first, then narrow ones, so the struct packs into
-    // 48 bytes: every layer streams whole traces of these, so size is
-    // bandwidth.
+    // 32 bytes: every layer streams whole traces of these, so size is
+    // bandwidth. Wide fields first, then the narrow ones.
     Addr pc = 0;
 
-    /// Memory reference fields (Load/Store only).
-    Addr effAddr = 0;
+    /**
+     * One slot for the op's address: memory ops own `effAddr`,
+     * control ops own `target`, and no op is both. Code that does not
+     * know the class reads memAddr()/ctrlTarget() instead. Both
+     * members are `Addr`, so a control op whose target was never set
+     * reads the slot's initial 0 (GCC and Clang define union reads
+     * through the other member).
+     */
+    union
+    {
+        Addr effAddr = 0;          ///< Load/Store only
+        Addr target;               ///< control only: next PC followed
+    };
     Value memValue = 0;            ///< value loaded or stored
-
-    /// Control fields (Branch/Call/Ret/IndirBr only).
-    Addr target = 0;               ///< next PC actually followed
 
     RegId dst = invalidReg;
     std::array<RegId, 3> src{invalidReg, invalidReg, invalidReg};
@@ -74,6 +82,11 @@ struct MicroOp
     std::uint8_t memSize = 0;      ///< access width in bytes (1/2/4/8)
     bool exclusiveMem = false;     ///< atomic/exclusive: never predicted
     bool taken = false;
+
+    /** Effective address of a memory op; 0 for every other class. */
+    Addr memAddr() const { return isMemRef(cls) ? effAddr : 0; }
+    /** Next PC of a control op; 0 for every other class. */
+    Addr ctrlTarget() const { return isControl(cls) ? target : 0; }
 
     bool isLoad() const { return cls == OpClass::Load; }
     bool isStore() const { return cls == OpClass::Store; }
@@ -100,7 +113,10 @@ struct MicroOp
     }
 };
 
-static_assert(sizeof(MicroOp) == 48, "keep MicroOp's wide fields first");
+static_assert(sizeof(MicroOp) == 32,
+              "MicroOp: one shared address slot, 8-bit registers");
+static_assert(std::is_trivially_copyable_v<MicroOp>,
+              "traces are copied and streamed as plain bytes");
 
 } // namespace trace
 } // namespace lvpsim

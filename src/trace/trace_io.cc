@@ -1,5 +1,6 @@
 #include "trace/trace_io.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -32,22 +33,42 @@ struct Record
 
 static_assert(sizeof(Record) == 40, "trace record layout changed");
 
+// The record's register sentinel is the in-memory one, so register
+// ids copy straight across.
+static_assert(invalidReg == 0xff, "record register sentinel changed");
+
 Record
 pack(const MicroOp &op)
 {
     Record r{};
     r.pc = op.pc;
-    r.effAddr = op.effAddr;
+    r.effAddr = op.memAddr();
     r.memValue = op.memValue;
-    r.target = op.target;
+    r.target = op.ctrlTarget();
     r.cls = std::uint8_t(op.cls);
-    r.dst = op.dst == invalidReg ? 0xff : std::uint8_t(op.dst);
+    r.dst = op.dst;
     for (int i = 0; i < 3; ++i)
-        r.src[i] = op.src[i] == invalidReg ? 0xff
-                                           : std::uint8_t(op.src[i]);
+        r.src[i] = op.src[i];
     r.memSize = op.memSize;
     r.flags = (op.taken ? 1 : 0) | (op.exclusiveMem ? 2 : 0);
     return r;
+}
+
+/**
+ * Why @p r cannot become a MicroOp, or nullptr if it can. An op has
+ * one address slot, so a record may carry an effective address only
+ * on a memory class and a target only on a control class.
+ */
+const char *
+corruptRecord(const Record &r)
+{
+    if (r.cls > std::uint8_t(OpClass::Nop))
+        return "corrupt record (bad op class)";
+    if (r.effAddr != 0 && !isMemRef(OpClass(r.cls)))
+        return "corrupt record (effective address on a non-memory op)";
+    if (r.target != 0 && !isControl(OpClass(r.cls)))
+        return "corrupt record (target on a non-control op)";
+    return nullptr;
 }
 
 MicroOp
@@ -55,18 +76,24 @@ unpack(const Record &r)
 {
     MicroOp op;
     op.pc = r.pc;
-    op.effAddr = r.effAddr;
-    op.memValue = r.memValue;
-    op.target = r.target;
     op.cls = OpClass(r.cls);
-    op.dst = r.dst == 0xff ? invalidReg : RegId(r.dst);
+    if (isMemRef(op.cls))
+        op.effAddr = r.effAddr;
+    else if (isControl(op.cls))
+        op.target = r.target;
+    op.memValue = r.memValue;
+    op.dst = r.dst;
     for (int i = 0; i < 3; ++i)
-        op.src[i] = r.src[i] == 0xff ? invalidReg : RegId(r.src[i]);
+        op.src[i] = r.src[i];
     op.memSize = r.memSize;
     op.taken = (r.flags & 1) != 0;
     op.exclusiveMem = (r.flags & 2) != 0;
     return op;
 }
+
+/// The header count is untrusted, so at most this many records are
+/// reserved up front; the vector grows past it as records arrive.
+constexpr std::uint64_t maxReserve = 1u << 16;
 
 } // anonymous namespace
 
@@ -108,14 +135,14 @@ readTrace(std::istream &is, std::vector<MicroOp> &ops,
     if (version != traceFormatVersion)
         return fail("unsupported trace version");
     ops.clear();
-    ops.reserve(count);
+    ops.reserve(std::min(count, maxReserve));
     for (std::uint64_t i = 0; i < count; ++i) {
         Record r;
         is.read(reinterpret_cast<char *>(&r), sizeof(r));
         if (!is)
             return fail("truncated record stream");
-        if (r.cls > std::uint8_t(OpClass::Nop))
-            return fail("corrupt record (bad op class)");
+        if (const char *why = corruptRecord(r))
+            return fail(why);
         ops.push_back(unpack(r));
     }
     return true;

@@ -26,6 +26,17 @@ fnvMix(std::uint64_t h, std::uint64_t v)
     return h;
 }
 
+/**
+ * A register as hashTrace mixes it. Register ids were 16 bits wide
+ * when trace identities were first keyed, so "no register" keeps
+ * mixing as 0xffff and existing store keys stay valid.
+ */
+std::uint64_t
+regHashValue(RegId r)
+{
+    return r == invalidReg ? 0xffff : r;
+}
+
 } // anonymous namespace
 
 std::uint64_t
@@ -37,15 +48,15 @@ hashTrace(const std::vector<MicroOp> &ops)
     for (const MicroOp &op : ops) {
         h = fnvMix(h, op.pc);
         h = fnvMix(h, std::uint64_t(op.cls));
-        h = fnvMix(h, op.dst);
+        h = fnvMix(h, regHashValue(op.dst));
         for (RegId s : op.src)
-            h = fnvMix(h, s);
-        h = fnvMix(h, op.effAddr);
+            h = fnvMix(h, regHashValue(s));
+        h = fnvMix(h, op.memAddr());
         h = fnvMix(h, op.memSize);
         h = fnvMix(h, op.memValue);
         h = fnvMix(h, (op.exclusiveMem ? 2u : 0u) |
                           (op.taken ? 1u : 0u));
-        h = fnvMix(h, op.target);
+        h = fnvMix(h, op.ctrlTarget());
     }
     return h;
 }
@@ -60,7 +71,7 @@ debugString(const MicroOp &op)
     if (op.dst == invalidReg)
         os << "-";
     else
-        os << op.dst;
+        os << unsigned(op.dst);
     os << " src=";
     for (std::size_t i = 0; i < op.src.size(); ++i) {
         if (i)
@@ -68,14 +79,14 @@ debugString(const MicroOp &op)
         if (op.src[i] == invalidReg)
             os << "-";
         else
-            os << op.src[i];
+            os << unsigned(op.src[i]);
     }
-    os << " ea=0x" << std::hex << op.effAddr;
+    os << " ea=0x" << std::hex << op.memAddr();
     os << std::dec << " sz=" << unsigned(op.memSize);
     os << " val=0x" << std::hex << op.memValue;
     os << std::dec << " excl=" << (op.exclusiveMem ? 1 : 0);
     os << " taken=" << (op.taken ? 1 : 0);
-    os << " tgt=0x" << std::hex << op.target;
+    os << " tgt=0x" << std::hex << op.ctrlTarget();
     return os.str();
 }
 

@@ -46,7 +46,7 @@ TEST_P(KernelProperty, DeterministicForSameSeed)
     for (std::size_t i = 0; i < a.size(); ++i) {
         ASSERT_EQ(a[i].pc, b[i].pc) << "at op " << i;
         ASSERT_EQ(a[i].memValue, b[i].memValue) << "at op " << i;
-        ASSERT_EQ(a[i].effAddr, b[i].effAddr) << "at op " << i;
+        ASSERT_EQ(a[i].memAddr(), b[i].memAddr()) << "at op " << i;
         ASSERT_EQ(a[i].taken, b[i].taken) << "at op " << i;
     }
 }

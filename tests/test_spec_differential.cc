@@ -49,10 +49,10 @@ bool
 sameOp(const MicroOp &a, const MicroOp &b)
 {
     return a.pc == b.pc && a.cls == b.cls && a.dst == b.dst &&
-           a.src == b.src && a.effAddr == b.effAddr &&
+           a.src == b.src && a.memAddr() == b.memAddr() &&
            a.memSize == b.memSize && a.memValue == b.memValue &&
            a.exclusiveMem == b.exclusiveMem && a.taken == b.taken &&
-           a.target == b.target;
+           a.ctrlTarget() == b.ctrlTarget();
 }
 
 class SpecEquivalence

@@ -33,10 +33,10 @@ sameOps(const std::vector<MicroOp> &a, const std::vector<MicroOp> &b)
     for (std::size_t i = 0; i < a.size(); ++i) {
         const MicroOp &x = a[i], &y = b[i];
         if (x.pc != y.pc || x.cls != y.cls || x.dst != y.dst ||
-            x.src != y.src || x.effAddr != y.effAddr ||
+            x.src != y.src || x.memAddr() != y.memAddr() ||
             x.memSize != y.memSize || x.memValue != y.memValue ||
             x.exclusiveMem != y.exclusiveMem || x.taken != y.taken ||
-            x.target != y.target)
+            x.ctrlTarget() != y.ctrlTarget())
             return false;
     }
     return true;

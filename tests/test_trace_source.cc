@@ -160,4 +160,27 @@ TEST(TraceSource, DebugStringIsStable)
     EXPECT_EQ(trace::debugString(op),
               "pc=0x4000 cls=4 dst=3 src=1,-,- ea=0x10000 sz=8 "
               "val=0x2a excl=0 taken=0 tgt=0x0");
+
+    MicroOp branch;
+    branch.pc = 0x4010;
+    branch.cls = trace::OpClass::Branch;
+    branch.src = {5, 63, invalidReg};
+    branch.taken = true;
+    branch.target = 0x3ff0;
+    EXPECT_EQ(trace::debugString(branch),
+              "pc=0x4010 cls=6 dst=- src=5,63,- ea=0x0 sz=0 val=0x0 "
+              "excl=0 taken=1 tgt=0x3ff0");
+
+    // No destination register.
+    MicroOp store;
+    store.pc = 0x4020;
+    store.cls = trace::OpClass::Store;
+    store.src = {2, 4, 7};
+    store.effAddr = 0x20008;
+    store.memSize = 4;
+    store.memValue = 0xdeadbeef;
+    store.exclusiveMem = true;
+    EXPECT_EQ(trace::debugString(store),
+              "pc=0x4020 cls=5 dst=- src=2,4,7 ea=0x20008 sz=4 "
+              "val=0xdeadbeef excl=1 taken=0 tgt=0x0");
 }
