@@ -13,18 +13,22 @@ Cache::Cache(const CacheConfig &config) : cfg(config)
     lvp_assert(num_blocks % cfg.assoc == 0, "bad geometry");
     numSets = num_blocks / cfg.assoc;
     lvp_assert(isPowerOf2(numSets), "sets not pow2");
-    st.lines.assign(num_blocks, Line{});
+    // Every set lies in one copy-on-write chunk, so an access checks
+    // ownership once, not once per way.
+    lvp_assert(CowArray<Line>::chunkSize % cfg.assoc == 0,
+               "associativity must divide %zu", CowArray<Line>::chunkSize);
+    st.lines.resize(num_blocks);
 }
 
 bool
 Cache::probe(Addr addr)
 {
-    const std::size_t s = setOf(addr);
+    const std::size_t first = setOf(addr) * cfg.assoc;
     const Addr tag = tagOf(addr);
+    const Line *set = &st.lines[first];
     for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Line &l = st.lines[s * cfg.assoc + w];
-        if (l.valid && l.tag == tag) {
-            l.lastUse = ++st.useClock;
+        if (set[w].valid && set[w].tag == tag) {
+            st.lines.writable(first)[w].lastUse = ++st.useClock;
             ++st.numHits;
             return true;
         }
@@ -36,11 +40,10 @@ Cache::probe(Addr addr)
 bool
 Cache::contains(Addr addr) const
 {
-    const std::size_t s = setOf(addr);
+    const Line *set = &st.lines[setOf(addr) * cfg.assoc];
     const Addr tag = tagOf(addr);
     for (unsigned w = 0; w < cfg.assoc; ++w) {
-        const Line &l = st.lines[s * cfg.assoc + w];
-        if (l.valid && l.tag == tag)
+        if (set[w].valid && set[w].tag == tag)
             return true;
     }
     return false;
@@ -51,11 +54,12 @@ Cache::fill(Addr addr, bool dirty, bool *writeback)
 {
     if (writeback)
         *writeback = false;
-    const std::size_t s = setOf(addr);
+    // A fill always writes a line of the set.
+    Line *set = st.lines.writable(setOf(addr) * cfg.assoc);
     const Addr tag = tagOf(addr);
     Line *victim = nullptr;
     for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Line &l = st.lines[s * cfg.assoc + w];
+        Line &l = set[w];
         if (l.valid && l.tag == tag) {
             // Already present (e.g. racing prefetch); just update.
             l.dirty = l.dirty || dirty;
@@ -86,12 +90,15 @@ Cache::fill(Addr addr, bool dirty, bool *writeback)
 void
 Cache::setDirty(Addr addr)
 {
-    const std::size_t s = setOf(addr);
+    const std::size_t first = setOf(addr) * cfg.assoc;
     const Addr tag = tagOf(addr);
+    const Line *set = &st.lines[first];
     for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Line &l = st.lines[s * cfg.assoc + w];
-        if (l.valid && l.tag == tag) {
-            l.dirty = true;
+        if (set[w].valid && set[w].tag == tag) {
+            // A store hit to a line that is already dirty writes
+            // nothing, so it leaves a shared chunk shared.
+            if (!set[w].dirty)
+                st.lines.writable(first)[w].dirty = true;
             return;
         }
     }
@@ -100,12 +107,12 @@ Cache::setDirty(Addr addr)
 void
 Cache::invalidate(Addr addr)
 {
-    const std::size_t s = setOf(addr);
+    const std::size_t first = setOf(addr) * cfg.assoc;
     const Addr tag = tagOf(addr);
+    const Line *set = &st.lines[first];
     for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Line &l = st.lines[s * cfg.assoc + w];
-        if (l.valid && l.tag == tag) {
-            l = Line{};
+        if (set[w].valid && set[w].tag == tag) {
+            st.lines.writable(first)[w] = Line{};
             return;
         }
     }

@@ -9,9 +9,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/bitutils.hh"
+#include "common/cow_array.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
@@ -80,10 +80,15 @@ class Cache
     };
 
   public:
-    /** Mutable state only; geometry comes from the owning config. */
+    /**
+     * Mutable state only; geometry comes from the owning config. The
+     * lines are copy-on-write (common/cow_array.hh): a saved State
+     * shares every chunk with the cache, and either side's next write
+     * to a chunk clones just that chunk.
+     */
     struct State
     {
-        std::vector<Line> lines;
+        CowArray<Line> lines;
         std::uint64_t useClock = 0;
         std::uint64_t numHits = 0;
         std::uint64_t numMisses = 0;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/bitutils.hh"
+#include "common/cow_array.hh"
 
 namespace lvpsim
 {
@@ -69,6 +70,17 @@ class Writer
         w.u64(v.size());
         for (const T &e : v)
             put(e);
+    }
+
+    /** Encoded exactly like a std::vector<T>. */
+    template <class T>
+    void
+    put(const CowArray<T> &v)
+    {
+        w.u64(v.size());
+        for (std::size_t c = 0; c < v.numChunks(); ++c)
+            for (const T &e : v.chunk(c))
+                put(e);
     }
 
     template <class T>
@@ -217,6 +229,22 @@ class Reader
             get(e);
             if (!r.ok())
                 return;
+        }
+    }
+
+    template <class T>
+    void
+    get(CowArray<T> &v)
+    {
+        const std::size_t n = r.count(minEncodedBytes<T>());
+        v.clear();
+        v.resize(n);
+        for (std::size_t c = 0; c < v.numChunks(); ++c) {
+            for (T &e : v.writableChunk(c)) {
+                get(e);
+                if (!r.ok())
+                    return;
+            }
         }
     }
 
@@ -417,6 +445,19 @@ class ShapeOf
         for (const T &e : v) {
             const std::size_t before = dims.size();
             put(e);
+            if (dims.size() == before)
+                break;
+        }
+    }
+
+    template <class T>
+    void
+    put(const CowArray<T> &v)
+    {
+        dims.push_back(v.size());
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            const std::size_t before = dims.size();
+            put(v[i]);
             if (dims.size() == before)
                 break;
         }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "memory/cache.hh"
 
 using namespace lvpsim;
@@ -134,4 +136,66 @@ TEST(Cache, GeometryMatchesTableIII)
         EXPECT_TRUE(c.contains(i * stride));
     c.fill(4 * stride, false, nullptr);
     EXPECT_FALSE(c.contains(0));
+}
+
+TEST(Cache, SavedStateIsIsolatedFromLaterAccesses)
+{
+    // A saved State shares its lines with the cache (copy-on-write),
+    // so it must not see any access made after the save, and a cache
+    // restored from it must behave as one that never made them. Each
+    // kind of write runs alone on a fresh save, so none of them can
+    // hide behind a chunk that another one already cloned.
+    const CacheConfig l1{"l1d", 64 * 1024, 4, 64, 2};
+    const auto warm = [](Cache &c) {
+        for (Addr a = 0; a < 48 * 1024; a += 64)
+            c.fill(a, (a & 0x100) != 0, nullptr);
+        for (Addr a = 0; a < 48 * 1024; a += 192)
+            c.probe(a);
+    };
+    Cache twin(l1); // same history, never touched after the save
+    warm(twin);
+    Cache::State want;
+    twin.saveState(want);
+
+    const std::pair<const char *, void (*)(Cache &, Addr)> writes[] = {
+        {"probe hit", [](Cache &c, Addr a) { c.probe(a); }},
+        {"fill",
+         [](Cache &c, Addr a) { c.fill(a + (1 << 20), true, nullptr); }},
+        {"setDirty", [](Cache &c, Addr a) { c.setDirty(a); }},
+        {"invalidate", [](Cache &c, Addr a) { c.invalidate(a); }},
+    };
+    for (const auto &[what, write] : writes) {
+        Cache live(l1);
+        warm(live);
+        Cache::State saved;
+        live.saveState(saved);
+        for (Addr a = 0; a < 64 * 1024; a += 64)
+            write(live, a);
+
+        ASSERT_EQ(saved.lines.size(), want.lines.size()) << what;
+        for (std::size_t i = 0; i < want.lines.size(); ++i) {
+            const auto &g = saved.lines[i];
+            const auto &w = want.lines[i];
+            ASSERT_TRUE(g.valid == w.valid && g.dirty == w.dirty &&
+                        g.tag == w.tag && g.lastUse == w.lastUse)
+                << what << ": line " << i;
+        }
+        EXPECT_EQ(saved.useClock, want.useClock) << what;
+        EXPECT_EQ(saved.numHits, want.numHits) << what;
+        EXPECT_EQ(saved.numMisses, want.numMisses) << what;
+
+        // Restored, it replays a fresh access stream like the twin.
+        Cache replay = twin;
+        live.restoreState(saved);
+        for (Addr a = 0; a < 96 * 1024; a += 320) {
+            bool wbLive = false, wbTwin = false;
+            ASSERT_EQ(live.probe(a), replay.probe(a)) << what << a;
+            ASSERT_EQ(live.fill(a, true, &wbLive),
+                      replay.fill(a, true, &wbTwin))
+                << what << a;
+            ASSERT_EQ(wbLive, wbTwin) << what << a;
+        }
+        EXPECT_EQ(live.hits(), replay.hits()) << what;
+        EXPECT_EQ(live.misses(), replay.misses()) << what;
+    }
 }

@@ -1,0 +1,200 @@
+/**
+ * @file
+ * Unit tests for common/cow_array.hh: a seeded random mix of reads,
+ * writes, copies, assignments, moves and resizes over a few arrays
+ * must match std::vector references element for element, whichever
+ * side of a copy writes first; and the chunk accounting is exact (a
+ * fresh copy shares every chunk, one write clones exactly one).
+ */
+
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/cow_array.hh"
+#include "common/random.hh"
+
+using lvpsim::CowArray;
+
+namespace
+{
+
+// A 1 KiB element puts four in a chunk, so small arrays span many
+// chunks and partial last chunks.
+struct Elem
+{
+    std::uint64_t v = 0;
+    std::uint8_t pad[1016] = {};
+};
+using Array = CowArray<Elem>;
+static_assert(Array::chunkSize == 4);
+
+void
+expectMatches(const Array &a, const std::vector<std::uint64_t> &ref,
+              int step)
+{
+    ASSERT_EQ(a.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(a.numChunks(),
+              (ref.size() + Array::chunkSize - 1) / Array::chunkSize)
+        << "step " << step;
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_EQ(a[i].v, ref[i]) << "step " << step << " index " << i;
+    std::size_t i = 0;
+    for (std::size_t c = 0; c < a.numChunks(); ++c)
+        for (const Elem &e : a.chunk(c))
+            ASSERT_EQ(e.v, ref[i++]) << "step " << step << " chunk " << c;
+    ASSERT_EQ(i, ref.size()) << "step " << step;
+}
+
+} // anonymous namespace
+
+TEST(CowArray, MatchesVectorUnderRandomOperations)
+{
+    constexpr std::size_t kArrays = 4;
+    constexpr std::size_t kMaxSize = 23; // not a multiple of 4
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        lvpsim::Xoshiro256 rng(seed);
+        std::vector<Array> arrays(kArrays);
+        std::vector<std::vector<std::uint64_t>> refs(kArrays);
+        for (int step = 0; step < 4000; ++step) {
+            const std::size_t a = rng.below(kArrays);
+            const std::size_t b = rng.below(kArrays);
+            switch (rng.below(9)) {
+              case 0:
+              case 1: // write one element
+                if (!refs[a].empty()) {
+                    const std::size_t i = rng.below(refs[a].size());
+                    const std::uint64_t v = rng.next();
+                    arrays[a].writable(i)->v = v;
+                    refs[a][i] = v;
+                }
+                break;
+              case 2: // write a whole chunk through its span
+                if (!refs[a].empty()) {
+                    const std::size_t c = rng.below(arrays[a].numChunks());
+                    std::size_t i = c * Array::chunkSize;
+                    for (Elem &e : arrays[a].writableChunk(c)) {
+                        e.v = rng.next();
+                        refs[a][i++] = e.v;
+                    }
+                }
+                break;
+              case 3: // copy-construct
+                {
+                    Array copy(arrays[a]);
+                    arrays[b] = std::move(copy);
+                    refs[b] = refs[a];
+                }
+                break;
+              case 4: // copy-assign, sometimes to itself
+                {
+                    const Array &src = arrays[a];
+                    arrays[b] = src;
+                    refs[b] = refs[a];
+                }
+                break;
+              case 5: // move-construct and move-assign
+                if (a != b) {
+                    Array moved(std::move(arrays[a]));
+                    EXPECT_TRUE(arrays[a].empty()) << "step " << step;
+                    arrays[b] = std::move(moved);
+                    refs[b] = std::move(refs[a]);
+                    refs[a].clear();
+                }
+                break;
+              case 6: // resize, growing past a shrink's stale tail too
+                {
+                    const std::size_t n = rng.below(kMaxSize + 1);
+                    arrays[a].resize(n);
+                    refs[a].resize(n);
+                }
+                break;
+              case 7:
+                arrays[a].clear();
+                refs[a].clear();
+                break;
+              default: // read one element
+                if (!refs[a].empty()) {
+                    const std::size_t i = rng.below(refs[a].size());
+                    ASSERT_EQ(arrays[a][i].v, refs[a][i])
+                        << "step " << step;
+                }
+                break;
+            }
+            for (std::size_t k = 0; k < kArrays; ++k)
+                expectMatches(arrays[k], refs[k], step);
+        }
+    }
+}
+
+TEST(CowArray, WritesAfterACopyStayOnTheirSide)
+{
+    Array orig;
+    orig.resize(10);
+    for (std::size_t i = 0; i < 10; ++i)
+        orig.writable(i)->v = i;
+
+    Array copy = orig;
+    copy.writable(3)->v = 100; // the copy writes first
+    orig.writable(7)->v = 200; // then the original
+    EXPECT_EQ(orig[3].v, 3u);
+    EXPECT_EQ(copy[3].v, 100u);
+    EXPECT_EQ(orig[7].v, 200u);
+    EXPECT_EQ(copy[7].v, 7u);
+
+    Array assigned;
+    assigned = orig;
+    orig.writable(7)->v = 300; // the original writes first this time
+    assigned.writable(3)->v = 400;
+    EXPECT_EQ(assigned[7].v, 200u);
+    EXPECT_EQ(orig[7].v, 300u);
+    EXPECT_EQ(orig[3].v, 3u);
+}
+
+TEST(CowArray, FreshCopySharesEveryChunk)
+{
+    Array a;
+    a.resize(4 * Array::chunkSize + 1);
+    const Array b = a;
+    EXPECT_EQ(a.numChunks(), 5u);
+    EXPECT_EQ(b.chunksSharedWith(a), a.numChunks());
+    EXPECT_EQ(a.chunksSharedWith(b), a.numChunks());
+
+    Array c;
+    c = a;
+    EXPECT_EQ(c.chunksSharedWith(a), a.numChunks());
+}
+
+TEST(CowArray, OneWriteClonesExactlyOneChunk)
+{
+    Array a;
+    a.resize(4 * Array::chunkSize + 1);
+    Array b = a;
+    b.writable(Array::chunkSize + 1)->v = 42;
+    EXPECT_EQ(b.chunksSharedWith(a), a.numChunks() - 1);
+    // A second write to the now-private chunk clones nothing more.
+    b.writable(Array::chunkSize + 2)->v = 43;
+    EXPECT_EQ(b.chunksSharedWith(a), a.numChunks() - 1);
+    // Nor does a write from the other side to that chunk.
+    a.writable(Array::chunkSize)->v = 44;
+    EXPECT_EQ(b.chunksSharedWith(a), a.numChunks() - 1);
+    // A write to the original's side of a shared chunk clones it.
+    a.writable(0)->v = 45;
+    EXPECT_EQ(b.chunksSharedWith(a), a.numChunks() - 2);
+    EXPECT_EQ(b[0].v, 0u);
+}
+
+TEST(CowArray, UnsharedChunkIsWrittenInPlace)
+{
+    Array a;
+    a.resize(2 * Array::chunkSize);
+    const Elem *before = &a[0];
+    {
+        const Array transient = a; // shares, then lets go
+    }
+    EXPECT_EQ(a.writable(0), before);
+    EXPECT_EQ(a.writable(1), before + 1);
+}

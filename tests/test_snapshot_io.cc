@@ -121,6 +121,46 @@ TEST(SnapshotIo, RestoredCoreResumesBitIdentically)
     EXPECT_TRUE(restored.run() == refStats);
 }
 
+TEST(SnapshotIo, SavedSnapshotIsUnchangedByLaterSimulation)
+{
+    // A saved snapshot shares its unchanged cache chunks with the
+    // core and with the snapshots saved before it (copy-on-write).
+    // Nothing the core does afterwards -- functional fast-forward,
+    // detailed simulation, restoring another checkpoint and running
+    // on from it -- may reach a saved one: each must re-encode to the
+    // bytes it had right after its save.
+    const auto rc = warmRc();
+    auto ops = sim::TraceCache::instance().get(
+        "pointer_chase", rc.maxInstrs + rc.warmupInstrs, rc.traceSeed);
+    pipe::NullPredictor vp;
+    pipe::Core core(rc.core, *ops, &vp);
+
+    core.functionalWarmup(2000);
+    pipe::Core::Snapshot first;
+    core.saveState(first);
+    const auto firstBytes = encode(first);
+
+    core.functionalWarmup(2000);
+    pipe::Core::Snapshot second;
+    core.saveState(second);
+    const auto secondBytes = encode(second);
+    EXPECT_NE(secondBytes, firstBytes);
+
+    core.run(1500);
+    core.drain();
+    core.restoreState(first);
+    core.functionalWarmup(3000);
+    core.run(1000);
+    core.drain();
+    core.restoreState(second);
+    core.functionalWarmup(2000);
+    core.run(2000);
+    core.drain();
+
+    EXPECT_EQ(encode(first), firstBytes);
+    EXPECT_EQ(encode(second), secondBytes);
+}
+
 TEST(SnapshotIo, EveryTruncationFailsCleanly)
 {
     const auto bytes = encode(warmSnapshot("stream_sum"));

@@ -10,8 +10,10 @@
 #
 #   -L smoke   fast unit/harness tests, including the --jobs 4
 #              parallel suite run, the sim::Memo build-once tests
-#              (test_memo.cc) and the cache concurrent-build tests
-#              in test_checkpoint.cc (the TSan targets of interest)
+#              (test_memo.cc), the cache concurrent-build tests
+#              in test_checkpoint.cc (the TSan targets of interest),
+#              the copy-on-write array tests (test_cow_array.cc) and
+#              the sampled-run and trace-frontend suites
 #   -L fuzz    seeded property tests (fixed seeds, deterministic),
 #              including the checkpoint/restore fuzz in
 #              test_checkpoint_fuzz.cc
@@ -36,8 +38,12 @@ only=${LVPSIM_SAN_ONLY:-}
 # Only the targets the smoke/fuzz labels actually run: building the
 # whole tree (benches, examples, every test binary) under a
 # sanitizer takes many times longer for no extra coverage.
+# gtest_discover_tests registers nothing for a binary that was not
+# built, so a smoke- or fuzz-labelled suite left off this list would
+# silently never run under a sanitizer.
 targets="test_containers test_common test_trace test_harness \
-test_qa test_kernel_spec test_fuzz test_store lvpsim_cli"
+test_qa test_kernel_spec test_fuzz test_store test_sampling \
+test_trace_frontend lvpsim_cli"
 tsan_targets="test_differential test_sampling test_store"
 
 run_config() {
