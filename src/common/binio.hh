@@ -8,12 +8,14 @@
  * out-of-range read sets a sticky fail flag and returns zero instead
  * of crashing, so a truncated or corrupted store entry degrades into
  * a cache miss (the caller checks ok() once at the end) rather than
- * undefined behavior. Encoding is explicitly little-endian
- * byte-by-byte, independent of host endianness.
+ * undefined behavior. Encoding is explicitly little-endian (byte order
+ * set by shifts, independent of host endianness); the writer appends
+ * each multi-byte word in one insert.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -55,26 +57,9 @@ class BinWriter
         buf.push_back(v);
     }
 
-    void
-    u16(std::uint16_t v)
-    {
-        u8(static_cast<std::uint8_t>(v));
-        u8(static_cast<std::uint8_t>(v >> 8));
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        u16(static_cast<std::uint16_t>(v));
-        u16(static_cast<std::uint16_t>(v >> 16));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        u32(static_cast<std::uint32_t>(v));
-        u32(static_cast<std::uint32_t>(v >> 32));
-    }
+    void u16(std::uint16_t v) { word(v); }
+    void u32(std::uint32_t v) { word(v); }
+    void u64(std::uint64_t v) { word(v); }
 
     void
     i8(std::int8_t v)
@@ -117,11 +102,34 @@ class BinWriter
         bytes(s.data(), s.size());
     }
 
+    /**
+     * Make room for @p total bytes in all. Growth stays geometric, as
+     * for appends, so a writer that reserves once per part (say, per
+     * checkpoint of a list) still reallocates O(log n) times.
+     */
+    void
+    reserve(std::size_t total)
+    {
+        if (total > buf.capacity())
+            buf.reserve(std::max(total, 2 * buf.capacity()));
+    }
+
     const std::vector<std::uint8_t> &buffer() const { return buf; }
     std::vector<std::uint8_t> take() { return std::move(buf); }
     std::size_t size() const { return buf.size(); }
 
   private:
+    /** Append @p v's bytes, least significant first, in one insert. */
+    template <class T>
+    void
+    word(T v)
+    {
+        std::uint8_t le[sizeof(T)];
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        buf.insert(buf.end(), le, le + sizeof(T));
+    }
+
     std::vector<std::uint8_t> buf;
 };
 

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -18,11 +19,45 @@ namespace pipe
 namespace
 {
 
-/** Encodes a value and, through its fields() list, everything in it. */
+/** Counts the bytes a BinWriter would append, storing none. */
+class ByteCount
+{
+  public:
+    void u8(std::uint8_t) { n += 1; }
+    void u16(std::uint16_t) { n += 2; }
+    void u32(std::uint32_t) { n += 4; }
+    void u64(std::uint64_t) { n += 8; }
+    void i8(std::int8_t) { n += 1; }
+    void b(bool) { n += 1; }
+    void bytes(const void *, std::size_t len) { n += len; }
+    std::size_t size() const { return n; }
+
+  private:
+    std::size_t n = 0;
+};
+
+template <class Sink>
+void
+writeStats(Sink &w, const SimStats &s)
+{
+    std::uint32_t n = 0;
+    forEachCounter(s, [&](std::string_view, std::uint64_t) { ++n; });
+    w.u32(n);
+    forEachCounter(s, [&](std::string_view name, std::uint64_t v) {
+        w.u64(fnv1a64(name.data(), name.size()));
+        w.u64(v);
+    });
+}
+
+/**
+ * Encodes a value and, through its fields() list, everything in it,
+ * into a BinWriter (or, to size one, a ByteCount).
+ */
+template <class Sink>
 class Writer
 {
   public:
-    explicit Writer(BinWriter &out) : w(out) {}
+    explicit Writer(Sink &out) : w(out) {}
 
     /** The visitor that fields() calls with its member list. */
     template <class... T>
@@ -150,10 +185,10 @@ class Writer
         w.i8(static_cast<std::int8_t>(p.component));
     }
 
-    void put(const SimStats &s) { serializeSnapshot(w, s); }
+    void put(const SimStats &s) { writeStats(w, s); }
 
   private:
-    BinWriter &w;
+    Sink &w;
 };
 
 /**
@@ -503,13 +538,7 @@ snapshotShape(const Core::Snapshot &s)
 void
 serializeSnapshot(BinWriter &w, const SimStats &s)
 {
-    std::uint32_t n = 0;
-    forEachCounter(s, [&](std::string_view, std::uint64_t) { ++n; });
-    w.u32(n);
-    forEachCounter(s, [&](std::string_view name, std::uint64_t v) {
-        w.u64(fnv1a64(name.data(), name.size()));
-        w.u64(v);
-    });
+    writeStats(w, s);
 }
 
 void
@@ -553,6 +582,11 @@ deserializeSnapshot(BinReader &r, SimStats &s)
 void
 serializeSnapshot(BinWriter &w, const Core::Snapshot &s)
 {
+    // Size the buffer first: a 1.4 MB snapshot appended into a
+    // growing vector would otherwise reallocate about a dozen times.
+    ByteCount n;
+    Writer(n).put(s);
+    w.reserve(w.size() + n.size());
     Writer(w).put(s);
 }
 

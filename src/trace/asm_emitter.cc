@@ -1,11 +1,92 @@
 #include "trace/asm_emitter.hh"
 
+#include <cstring>
+
 #include "common/logging.hh"
 
 namespace lvpsim
 {
 namespace trace
 {
+
+namespace
+{
+
+template <typename T>
+std::uint64_t
+loadAt(const char *p)
+{
+    T v;
+    std::memcpy(&v, p, sizeof(T));
+    return v;
+}
+
+/**
+ * The last (up to) eight bytes of a label that is @p n bytes long,
+ * read with fixed-size, possibly overlapping loads; together with the
+ * whole words before it (bytes [8i, 8i+8) while 8i+8 < n) it covers
+ * every byte, so for a given length the words determine the label.
+ */
+std::uint64_t
+lastWord(const char *p, std::size_t n)
+{
+    if (n >= 8)
+        return loadAt<std::uint64_t>(p + n - 8);
+    if (n >= 4)
+        return loadAt<std::uint32_t>(p) |
+               loadAt<std::uint32_t>(p + n - 4) << 32;
+    if (n > 0)
+        return std::uint64_t(std::uint8_t(p[0])) |
+               std::uint64_t(std::uint8_t(p[n / 2])) << 8 |
+               std::uint64_t(std::uint8_t(p[n - 1])) << 16;
+    return 0;
+}
+
+/** Fold a 64x64-bit product's halves together: every bit of @p a and
+ *  @p b reaches the low bits, which FlatMap indexes by. */
+std::uint64_t
+foldMul(std::uint64_t a, std::uint64_t b)
+{
+    const unsigned __int128 p = static_cast<unsigned __int128>(a) * b;
+    return std::uint64_t(p) ^ std::uint64_t(p >> 64);
+}
+
+/**
+ * 64-bit content hash of a site label: one multiply per word. The
+ * length is mixed before the first word goes in; xoring it in raw
+ * would let it cancel against the first byte ("ab" and "`bb").
+ */
+std::uint64_t
+labelHash(std::string_view label)
+{
+    constexpr std::uint64_t k = 0x9e3779b97f4a7c15ull;
+    const char *p = label.data();
+    const std::size_t n = label.size();
+    std::uint64_t h = foldMul(n, k);
+    for (std::size_t i = 0; i + 8 < n; i += 8)
+        h = foldMul(h ^ loadAt<std::uint64_t>(p + i), k);
+    return foldMul(h ^ lastWord(p, n), k);
+}
+
+/**
+ * Label equality over the same words labelHash reads: inline
+ * fixed-size compares instead of a variable-length memcmp call on
+ * every emitted op.
+ */
+bool
+sameLabel(std::string_view a, std::string_view b)
+{
+    const std::size_t n = a.size();
+    if (b.size() != n)
+        return false;
+    for (std::size_t i = 0; i + 8 < n; i += 8)
+        if (loadAt<std::uint64_t>(a.data() + i) !=
+            loadAt<std::uint64_t>(b.data() + i))
+            return false;
+    return lastWord(a.data(), n) == lastWord(b.data(), n);
+}
+
+} // anonymous namespace
 
 Asm::Asm(std::vector<MicroOp> &out, std::size_t max_ops,
          std::uint64_t seed)
@@ -16,11 +97,25 @@ Asm::Asm(std::vector<MicroOp> &out, std::size_t max_ops,
 }
 
 Addr
-Asm::pcOf(const std::string &site)
+Asm::pcOf(std::string_view site)
 {
-    auto [it, inserted] = sites.try_emplace(site,
-                                            unsigned(sites.size()));
-    (void)inserted;
+    const std::uint64_t h = labelHash(site);
+    const auto it = sites.find(h);
+    if (it == sites.end() || !sameLabel(siteNames[it->second], site))
+        return internSite(h, site);
+    return codeBase + Addr(it->second) * 4;
+}
+
+Addr
+Asm::internSite(std::uint64_t hash, std::string_view site)
+{
+    const auto [it, inserted] =
+        sites.emplace(hash, unsigned(siteNames.size()));
+    if (!inserted)
+        lvp_panic("site labels '%s' and '%.*s' share a content hash",
+                  siteNames[it->second].c_str(), int(site.size()),
+                  site.data());
+    siteNames.emplace_back(site);
     return codeBase + Addr(it->second) * 4;
 }
 
@@ -32,7 +127,7 @@ Asm::push(MicroOp op)
 }
 
 MicroOp
-Asm::make(const std::string &site, OpClass cls)
+Asm::make(std::string_view site, OpClass cls)
 {
     MicroOp op;
     op.pc = pcOf(site);
@@ -41,7 +136,7 @@ Asm::make(const std::string &site, OpClass cls)
 }
 
 void
-Asm::imm(const std::string &site, RegId dst, Value v)
+Asm::imm(std::string_view site, RegId dst, Value v)
 {
     MicroOp op = make(site, OpClass::IntAlu);
     op.dst = dst;
@@ -50,7 +145,7 @@ Asm::imm(const std::string &site, RegId dst, Value v)
 }
 
 void
-Asm::add(const std::string &site, RegId dst, RegId a, RegId b)
+Asm::add(std::string_view site, RegId dst, RegId a, RegId b)
 {
     MicroOp op = make(site, OpClass::IntAlu);
     op.dst = dst;
@@ -60,7 +155,7 @@ Asm::add(const std::string &site, RegId dst, RegId a, RegId b)
 }
 
 void
-Asm::addi(const std::string &site, RegId dst, RegId a, std::int64_t val)
+Asm::addi(std::string_view site, RegId dst, RegId a, std::int64_t val)
 {
     MicroOp op = make(site, OpClass::IntAlu);
     op.dst = dst;
@@ -70,7 +165,7 @@ Asm::addi(const std::string &site, RegId dst, RegId a, std::int64_t val)
 }
 
 void
-Asm::sub(const std::string &site, RegId dst, RegId a, RegId b)
+Asm::sub(std::string_view site, RegId dst, RegId a, RegId b)
 {
     MicroOp op = make(site, OpClass::IntAlu);
     op.dst = dst;
@@ -80,7 +175,7 @@ Asm::sub(const std::string &site, RegId dst, RegId a, RegId b)
 }
 
 void
-Asm::mul(const std::string &site, RegId dst, RegId a, RegId b)
+Asm::mul(std::string_view site, RegId dst, RegId a, RegId b)
 {
     MicroOp op = make(site, OpClass::IntMul);
     op.dst = dst;
@@ -90,7 +185,7 @@ Asm::mul(const std::string &site, RegId dst, RegId a, RegId b)
 }
 
 void
-Asm::div(const std::string &site, RegId dst, RegId a, RegId b)
+Asm::div(std::string_view site, RegId dst, RegId a, RegId b)
 {
     MicroOp op = make(site, OpClass::IntDiv);
     op.dst = dst;
@@ -100,7 +195,7 @@ Asm::div(const std::string &site, RegId dst, RegId a, RegId b)
 }
 
 void
-Asm::andOp(const std::string &site, RegId dst, RegId a, RegId b)
+Asm::andOp(std::string_view site, RegId dst, RegId a, RegId b)
 {
     MicroOp op = make(site, OpClass::IntAlu);
     op.dst = dst;
@@ -110,7 +205,7 @@ Asm::andOp(const std::string &site, RegId dst, RegId a, RegId b)
 }
 
 void
-Asm::xorOp(const std::string &site, RegId dst, RegId a, RegId b)
+Asm::xorOp(std::string_view site, RegId dst, RegId a, RegId b)
 {
     MicroOp op = make(site, OpClass::IntAlu);
     op.dst = dst;
@@ -120,7 +215,7 @@ Asm::xorOp(const std::string &site, RegId dst, RegId a, RegId b)
 }
 
 void
-Asm::shl(const std::string &site, RegId dst, RegId a, unsigned sh)
+Asm::shl(std::string_view site, RegId dst, RegId a, unsigned sh)
 {
     MicroOp op = make(site, OpClass::IntAlu);
     op.dst = dst;
@@ -130,7 +225,7 @@ Asm::shl(const std::string &site, RegId dst, RegId a, unsigned sh)
 }
 
 void
-Asm::shr(const std::string &site, RegId dst, RegId a, unsigned sh)
+Asm::shr(std::string_view site, RegId dst, RegId a, unsigned sh)
 {
     MicroOp op = make(site, OpClass::IntAlu);
     op.dst = dst;
@@ -140,7 +235,7 @@ Asm::shr(const std::string &site, RegId dst, RegId a, unsigned sh)
 }
 
 void
-Asm::fadd(const std::string &site, RegId dst, RegId a, RegId b)
+Asm::fadd(std::string_view site, RegId dst, RegId a, RegId b)
 {
     MicroOp op = make(site, OpClass::FpAlu);
     op.dst = dst;
@@ -150,7 +245,7 @@ Asm::fadd(const std::string &site, RegId dst, RegId a, RegId b)
 }
 
 void
-Asm::fmul(const std::string &site, RegId dst, RegId a, RegId b)
+Asm::fmul(std::string_view site, RegId dst, RegId a, RegId b)
 {
     MicroOp op = make(site, OpClass::FpAlu);
     op.dst = dst;
@@ -160,13 +255,13 @@ Asm::fmul(const std::string &site, RegId dst, RegId a, RegId b)
 }
 
 void
-Asm::nop(const std::string &site)
+Asm::nop(std::string_view site)
 {
     push(make(site, OpClass::Nop));
 }
 
 Value
-Asm::load(const std::string &site, RegId dst, RegId addr_reg,
+Asm::load(std::string_view site, RegId dst, RegId addr_reg,
           std::int64_t offset, unsigned size, RegId index_reg)
 {
     MicroOp op = make(site, OpClass::Load);
@@ -184,7 +279,7 @@ Asm::load(const std::string &site, RegId dst, RegId addr_reg,
 }
 
 void
-Asm::store(const std::string &site, RegId data_reg, RegId addr_reg,
+Asm::store(std::string_view site, RegId data_reg, RegId addr_reg,
            std::int64_t offset, unsigned size, RegId index_reg)
 {
     MicroOp op = make(site, OpClass::Store);
@@ -200,7 +295,7 @@ Asm::store(const std::string &site, RegId data_reg, RegId addr_reg,
 }
 
 Value
-Asm::loadExclusive(const std::string &site, RegId dst, RegId addr_reg,
+Asm::loadExclusive(std::string_view site, RegId dst, RegId addr_reg,
                    std::int64_t offset, unsigned size)
 {
     MicroOp op = make(site, OpClass::Load);
@@ -217,7 +312,7 @@ Asm::loadExclusive(const std::string &site, RegId dst, RegId addr_reg,
 }
 
 void
-Asm::storeExclusive(const std::string &site, RegId data_reg,
+Asm::storeExclusive(std::string_view site, RegId data_reg,
                     RegId addr_reg, std::int64_t offset, unsigned size)
 {
     MicroOp op = make(site, OpClass::Store);
@@ -232,14 +327,14 @@ Asm::storeExclusive(const std::string &site, RegId data_reg,
 }
 
 void
-Asm::barrier(const std::string &site)
+Asm::barrier(std::string_view site)
 {
     push(make(site, OpClass::Barrier));
 }
 
 void
-Asm::branch(const std::string &site, bool taken,
-            const std::string &target_site, RegId cond_reg)
+Asm::branch(std::string_view site, bool taken,
+            std::string_view target_site, RegId cond_reg)
 {
     MicroOp op = make(site, OpClass::Branch);
     op.src = {cond_reg, invalidReg, invalidReg};
@@ -249,7 +344,7 @@ Asm::branch(const std::string &site, bool taken,
 }
 
 void
-Asm::call(const std::string &site, const std::string &target_site)
+Asm::call(std::string_view site, std::string_view target_site)
 {
     MicroOp op = make(site, OpClass::Call);
     op.taken = true;
@@ -259,7 +354,7 @@ Asm::call(const std::string &site, const std::string &target_site)
 }
 
 void
-Asm::ret(const std::string &site)
+Asm::ret(std::string_view site)
 {
     MicroOp op = make(site, OpClass::Ret);
     op.taken = true;
@@ -273,7 +368,7 @@ Asm::ret(const std::string &site)
 }
 
 void
-Asm::indirect(const std::string &site, Addr target, RegId target_reg)
+Asm::indirect(std::string_view site, Addr target, RegId target_reg)
 {
     MicroOp op = make(site, OpClass::IndirBr);
     op.src = {target_reg, invalidReg, invalidReg};

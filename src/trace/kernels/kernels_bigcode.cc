@@ -6,8 +6,10 @@
  * training and heterogeneous sizing pay off (Sections V-C, V-D).
  */
 
+#include <array>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/bitutils.hh"
 #include "trace/kernels/register.hh"
@@ -23,6 +25,21 @@ namespace
 {
 
 constexpr RegId r1 = 1, r2 = 2, r3 = 3, r4 = 4, r5 = 5, r6 = 6;
+
+/**
+ * Site labels "<prefix><i>" for every i < count, one row per i. Built
+ * once per trace, so the emit loops below concatenate no strings.
+ */
+template <std::size_t K>
+std::vector<std::array<std::string, K>>
+labelRows(const std::array<const char *, K> &prefixes, unsigned count)
+{
+    std::vector<std::array<std::string, K>> rows(count);
+    for (unsigned i = 0; i < count; ++i)
+        for (std::size_t k = 0; k < K; ++k)
+            rows[i][k] = prefixes[k] + std::to_string(i);
+    return rows;
+}
 
 /**
  * 64 small "functions" called in random order. Each has three
@@ -63,31 +80,39 @@ class BigCodeKernel : public SynthKernel
     void
     body(Asm &a) const override
     {
+        enum
+        {
+            Call, Fn, Gb, Ldc, Cb, Ldu, Ldd, Sum, Mix, Wrap, Adv, Stu, Ret
+        };
+        const auto labels = labelRows<13>(
+            {"call_", "fn_", "gb_", "ldc_", "cb_", "ldu_", "ldd_", "sum_",
+             "mix_", "wrap_", "adv_", "stu_", "ret_"},
+            numFuncs);
         a.imm("acc", r5, 0);
         while (!a.done()) {
             const unsigned f = unsigned(a.rng().below(numFuncs));
-            const std::string fs = std::to_string(f);
-            a.call("call_" + fs, "fn_" + fs);
-            a.nop("fn_" + fs);
+            const auto &n = labels[f];
+            a.call(n[Call], n[Fn]);
+            a.nop(n[Fn]);
             // Constant global (P1).
-            a.imm("gb_" + fs, r1, globalsBase + f * 8);
-            a.load("ldc_" + fs, r2, r1, 0, 8);
+            a.imm(n[Gb], r1, globalsBase + f * 8);
+            a.load(n[Ldc], r2, r1, 0, 8);
             // Private cursor: value strides by 8 every visit.
-            a.imm("cb_" + fs, r3, cursorsBase + f * 8);
-            Value cur = a.load("ldu_" + fs, r4, r3, 0, 8);
+            a.imm(n[Cb], r3, cursorsBase + f * 8);
+            Value cur = a.load(n[Ldu], r4, r3, 0, 8);
             // Data at the cursor (strided address per site).
-            a.load("ldd_" + fs, r6, r4, 0, 8);
-            a.add("sum_" + fs, r5, r5, r6);
-            a.add("mix_" + fs, r5, r5, r2);
+            a.load(n[Ldd], r6, r4, 0, 8);
+            a.add(n[Sum], r5, r5, r6);
+            a.add(n[Mix], r5, r5, r2);
             // Advance (wrap at the array end).
             const Addr arr =
                 arraysBase + Addr(f) * arrayLen * 8;
             if (cur + 8 >= arr + arrayLen * 8)
-                a.imm("wrap_" + fs, r4, arr);
+                a.imm(n[Wrap], r4, arr);
             else
-                a.addi("adv_" + fs, r4, r4, 8);
-            a.store("stu_" + fs, r4, r3, 0, 8);
-            a.ret("ret_" + fs);
+                a.addi(n[Adv], r4, r4, 8);
+            a.store(n[Stu], r4, r3, 0, 8);
+            a.ret(n[Ret]);
         }
     }
 };
@@ -120,6 +145,11 @@ class CallTreeKernel : public SynthKernel
     void
     body(Asm &a) const override
     {
+        enum { Call, Leaf, Sb, LdA, LdB, LdC, S1, S2, S3, Ret };
+        const auto labels = labelRows<10>(
+            {"call_", "leaf_", "sb_", "ld_a_", "ld_b_", "ld_c_", "s1_",
+             "s2_", "s3_", "ret_"},
+            numLeaves);
         a.imm("acc", r5, 0);
         while (!a.done()) {
             // A biased random walk picks 4 leaves per round.
@@ -128,17 +158,17 @@ class CallTreeKernel : public SynthKernel
                     a.rng().bernoulli(0.6)
                         ? a.rng().below(4)      // hot leaves
                         : a.rng().below(numLeaves));
-                const std::string ls = std::to_string(l);
-                a.call("call_" + ls, "leaf_" + ls);
-                a.nop("leaf_" + ls);
-                a.imm("sb_" + ls, r1, stateBase + l * 32);
-                a.load("ld_a_" + ls, r2, r1, 0, 8);
-                a.load("ld_b_" + ls, r3, r1, 8, 8);
-                a.load("ld_c_" + ls, r4, r1, 16, 8);
-                a.add("s1_" + ls, r5, r5, r2);
-                a.add("s2_" + ls, r5, r5, r3);
-                a.add("s3_" + ls, r5, r5, r4);
-                a.ret("ret_" + ls);
+                const auto &n = labels[l];
+                a.call(n[Call], n[Leaf]);
+                a.nop(n[Leaf]);
+                a.imm(n[Sb], r1, stateBase + l * 32);
+                a.load(n[LdA], r2, r1, 0, 8);
+                a.load(n[LdB], r3, r1, 8, 8);
+                a.load(n[LdC], r4, r1, 16, 8);
+                a.add(n[S1], r5, r5, r2);
+                a.add(n[S2], r5, r5, r3);
+                a.add(n[S3], r5, r5, r4);
+                a.ret(n[Ret]);
             }
             a.branch("round", true, "acc", r5);
         }

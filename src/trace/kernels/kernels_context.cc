@@ -57,6 +57,11 @@ class InterpDispatchKernel : public SynthKernel
     void
     body(Asm &a) const override
     {
+        std::vector<std::string> handlers;
+        for (unsigned op = 0; op < numOps; ++op) {
+            const std::string os = std::to_string(op);
+            handlers.push_back("h" + os);
+        }
         a.imm("vpc0", r1, progBase);
         a.imm("sp", r2, stackBase);
         a.imm("acc", r3, 0);
@@ -66,7 +71,7 @@ class InterpDispatchKernel : public SynthKernel
             // Fetch the opcode (strided byte load, wraps at progLen).
             Value opc = a.load("ld_opc", r4, r1, 0, 1);
             // Dispatch through a jump table (indirect branch).
-            const std::string handler = "h" + std::to_string(opc);
+            const std::string &handler = handlers.at(opc);
             a.indirect("dispatch", a.pcOf(handler), r4);
             a.nop(handler);
             switch (opc & 3) {
@@ -163,6 +168,11 @@ class ObjectGraphKernel : public SynthKernel
     void
     body(Asm &a) const override
     {
+        std::vector<std::string> icLoads;
+        for (std::size_t kind = 0; kind < numShapes; ++kind) {
+            const std::string ks = std::to_string(kind);
+            icLoads.push_back("ic_ld" + ks);
+        }
         a.imm("acc", r5, 0);
         while (!a.done()) {
             // Random object visits (heap objects are not laid out in
@@ -184,9 +194,8 @@ class ObjectGraphKernel : public SynthKernel
             // Per-shape descriptor probe from a shape-specific site:
             // puts the shape into the load path history, so CAP can
             // separate the contexts like CVP does.
-            const std::string ic_ld = "ic_ld" + std::to_string(kind);
             a.imm("psk", r7, shape);
-            a.load(ic_ld, r8, r7, 8, 8);
+            a.load(icLoads.at(kind), r8, r7, 8, 8);
             // Offset load from the shape (P3), then the field itself.
             a.imm("ps", r3, shape);
             Value off = a.load("ld_off", r4, r3, 0, 8);

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "trace/asm_emitter.hh"
 
 using namespace lvpsim;
@@ -187,4 +192,58 @@ TEST(AsmEmitter, StoreRecordsDataAndAddressDeps)
     EXPECT_EQ(st.src[0], r1);
     EXPECT_EQ(st.src[1], r2);
     EXPECT_EQ(st.memValue, 7u);
+}
+
+TEST(AsmEmitter, SameLabelTextIsOneSiteWhateverItsStorage)
+{
+    std::vector<MicroOp> out;
+    Asm a(out, 10, 1);
+    const Addr fromLiteral = a.pcOf("call_17");
+    const std::string owned = "call_17";
+    const std::string prefix = "call_";
+    EXPECT_EQ(a.pcOf(owned), fromLiteral);
+    EXPECT_EQ(a.pcOf(prefix + std::to_string(17)), fromLiteral);
+    EXPECT_EQ(a.pcOf(std::string_view("call_17xyz", 7)), fromLiteral);
+    // Labels of every length class (tail loads of 1-3, 4-7 and 8
+    // bytes, and whole words before them) keep their identity too.
+    for (const char *label : {"a", "ab", "abc", "abcd", "abcdefg",
+                              "abcdefgh", "abcdefghi",
+                              "abcdefghijklmnopq"}) {
+        const Addr pc = a.pcOf(label);
+        EXPECT_EQ(a.pcOf(std::string(label)), pc) << label;
+    }
+}
+
+TEST(AsmEmitter, PcsFollowFirstUseOrder)
+{
+    std::vector<MicroOp> out;
+    Asm a(out, 10, 1);
+    const char *const order[] = {"zeta", "alpha", "mid", "", "alpha2"};
+    for (std::size_t i = 0; i < std::size(order); ++i)
+        EXPECT_EQ(a.pcOf(order[i]), Asm::codeBase + 4 * i) << order[i];
+    // Re-use hands out nothing new; a branch target is a first use.
+    EXPECT_EQ(a.pcOf("alpha"), Asm::codeBase + 4);
+    a.branch("br", true, "target");
+    EXPECT_EQ(out.back().pc, Asm::codeBase + 4 * 5);
+    EXPECT_EQ(out.back().target, Asm::codeBase + 4 * 6);
+}
+
+TEST(AsmEmitter, DistinctLabelsGetDistinctPcs)
+{
+    std::vector<MicroOp> out;
+    Asm a(out, 10, 1);
+    // i's digits with (i mod 13) 'x's inserted in the middle: 1000
+    // distinct labels of 1 to 15 bytes, many a single byte apart
+    // (e.g. "104" and "1x4"), which stress the content hash and the
+    // intern table's probing.
+    std::vector<std::string> labels;
+    for (unsigned i = 0; i < 1000; ++i) {
+        std::string label = std::to_string(i);
+        label.insert(label.size() / 2, std::string(i % 13, 'x'));
+        labels.push_back(label);
+    }
+    for (std::size_t i = 0; i < labels.size(); ++i)
+        ASSERT_EQ(a.pcOf(labels[i]), Asm::codeBase + 4 * i) << labels[i];
+    for (std::size_t i = 0; i < labels.size(); ++i)
+        ASSERT_EQ(a.pcOf(labels[i]), Asm::codeBase + 4 * i) << labels[i];
 }

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -215,6 +216,65 @@ TEST(SnapshotIo, EncodedBytesMatchPinnedFormat)
             << w << ": snapshot bytes moved (0x" << std::hex
             << fnv1a64(bytes.data(), bytes.size()) << ")";
     }
+}
+
+TEST(SnapshotIo, BinWriterAppendsLittleEndianWords)
+{
+    BinWriter w;
+    w.u8(0x01);
+    w.u16(0x0302);
+    w.u32(0x07060504u);
+    w.u64(0x0f0e0d0c0b0a0908ull);
+    w.i64(-2);
+    const std::vector<std::uint8_t> want = {
+        0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a,
+        0x0b, 0x0c, 0x0d, 0x0e, 0x0f, 0xfe, 0xff, 0xff, 0xff, 0xff,
+        0xff, 0xff, 0xff,
+    };
+    EXPECT_EQ(w.buffer(), want);
+    BinReader r(w.buffer());
+    EXPECT_EQ(r.u8(), 0x01u);
+    EXPECT_EQ(r.u16(), 0x0302u);
+    EXPECT_EQ(r.u32(), 0x07060504u);
+    EXPECT_EQ(r.u64(), 0x0f0e0d0c0b0a0908ull);
+    EXPECT_EQ(r.i64(), -2);
+    EXPECT_TRUE(r.ok() && r.atEnd());
+}
+
+TEST(SnapshotIo, BinWriterReserveGrowsGeometrically)
+{
+    // encodeIntervals reserves once per checkpoint: an exact reserve
+    // each time would copy the whole list per checkpoint.
+    BinWriter w;
+    const std::uint8_t *data = nullptr;
+    int reallocations = 0;
+    for (int part = 0; part < 64; ++part) {
+        w.reserve(w.size() + 1000);
+        if (w.buffer().data() != data) {
+            data = w.buffer().data();
+            ++reallocations;
+        }
+        for (int i = 0; i < 125; ++i)
+            w.u64(std::uint64_t(part));
+    }
+    EXPECT_EQ(w.size(), 64u * 1000u);
+    EXPECT_LE(reallocations, 8);
+}
+
+TEST(SnapshotIo, EncodeSizesItsBufferUpFront)
+{
+    // serializeSnapshot counts the encoding before writing it, so the
+    // buffer is allocated once at its final size, after any bytes
+    // already in it.
+    const auto snap = warmSnapshot("stream_sum");
+    BinWriter w;
+    w.u32(0xfeedu);
+    pipe::serializeSnapshot(w, snap);
+    EXPECT_EQ(w.buffer().capacity(), w.size());
+    const auto alone = encode(snap);
+    EXPECT_EQ(w.size(), 4 + alone.size());
+    EXPECT_TRUE(std::equal(alone.begin(), alone.end(),
+                           w.buffer().begin() + 4));
 }
 
 TEST(SnapshotIo, MismatchedShapeIsRejected)
