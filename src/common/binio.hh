@@ -8,24 +8,30 @@
  * out-of-range read sets a sticky fail flag and returns zero instead
  * of crashing, so a truncated or corrupted store entry degrades into
  * a cache miss (the caller checks ok() once at the end) rather than
- * undefined behavior. Encoding is explicitly little-endian (byte order
- * set by shifts, independent of host endianness); the writer appends
- * each multi-byte word in one insert.
+ * undefined behavior. Encoding is explicitly little-endian,
+ * independent of host endianness; the writer appends each multi-byte
+ * word in one insert and the reader loads it after one bounds check.
+ *
+ * Two hashes live here: fnv1a64, byte at a time, for short keys and
+ * names, and checksum64, eight bytes a step in four lanes, for the
+ * store's megabyte payloads.
  */
 
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace lvpsim
 {
 
-/** FNV-1a 64-bit hash (used for store keys and payload checksums). */
+/** FNV-1a 64-bit hash (store keys and file names, counter names). */
 constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
@@ -45,6 +51,93 @@ inline std::uint64_t
 fnv1a64(const std::string &s, std::uint64_t h = kFnvOffsetBasis)
 {
     return fnv1a64(s.data(), s.size(), h);
+}
+
+/** The little-endian unsigned word of type @p T at @p p (any
+ *  alignment); one load on a little-endian host. */
+template <class T>
+inline T
+loadLe(const unsigned char *p)
+{
+    static_assert(std::is_unsigned_v<T>);
+    T v;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, p, sizeof v);
+    } else {
+        v = 0;
+        for (std::size_t i = 0; i < sizeof v; ++i)
+            v = static_cast<T>(v | T(p[i]) << (8 * i));
+    }
+    return v;
+}
+
+namespace binio_detail
+{
+
+constexpr std::uint64_t kSumP1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kSumP2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kSumP3 = 0x165667b19e3779f9ull;
+constexpr std::uint64_t kSumP4 = 0x85ebca77c2b2ae63ull;
+constexpr std::uint64_t kSumP5 = 0x27d4eb2f165667c5ull;
+
+/** One lane step: a bijection of @p acc for a fixed @p w, and of
+ *  @p w for a fixed @p acc. */
+constexpr std::uint64_t
+sumRound(std::uint64_t acc, std::uint64_t w)
+{
+    return std::rotl(acc + w * kSumP2, 31) * kSumP1;
+}
+
+/** Fold @p w into @p h, a bijection of either for the other fixed. */
+constexpr std::uint64_t
+sumFold(std::uint64_t h, std::uint64_t w)
+{
+    return std::rotl(h ^ sumRound(0, w), 27) * kSumP1 + kSumP4;
+}
+
+} // namespace binio_detail
+
+/**
+ * Checksum of the store's payloads: 64 bits, read eight bytes a step
+ * in four independent lanes (32 bytes per stripe), then the lanes,
+ * the length and the tail folded together and avalanched. Every step
+ * is a bijection of the word it reads and of the state it carries,
+ * so two inputs of one length that differ in a single byte always
+ * get different sums; a length change is mixed in too. The value is
+ * part of the store's file format (pinned by the store tests).
+ */
+inline std::uint64_t
+checksum64(const void *data, std::size_t n)
+{
+    using namespace binio_detail;
+    const auto *p = static_cast<const unsigned char *>(data);
+    const unsigned char *const end = p + n;
+    std::uint64_t h = kSumP5;
+    if (n >= 32) {
+        std::uint64_t a = kSumP1 + kSumP2;
+        std::uint64_t b = kSumP2;
+        std::uint64_t c = 0;
+        std::uint64_t d = 0 - kSumP1;
+        for (; end - p >= 32; p += 32) {
+            a = sumRound(a, loadLe<std::uint64_t>(p));
+            b = sumRound(b, loadLe<std::uint64_t>(p + 8));
+            c = sumRound(c, loadLe<std::uint64_t>(p + 16));
+            d = sumRound(d, loadLe<std::uint64_t>(p + 24));
+        }
+        for (const std::uint64_t lane : {a, b, c, d})
+            h = std::rotl(h ^ lane, 27) * kSumP1 + kSumP4;
+    }
+    h += n;
+    for (; end - p >= 8; p += 8)
+        h = sumFold(h, loadLe<std::uint64_t>(p));
+    for (; p < end; ++p)
+        h = std::rotl(h ^ (*p * kSumP5), 11) * kSumP1;
+    h ^= h >> 33;
+    h *= kSumP2;
+    h ^= h >> 29;
+    h *= kSumP3;
+    h ^= h >> 32;
+    return h;
 }
 
 /** Append-only little-endian encoder. */
@@ -147,36 +240,10 @@ class BinReader
     {
     }
 
-    std::uint8_t
-    u8()
-    {
-        if (pos + 1 > len) {
-            failed = true;
-            return 0;
-        }
-        return base[pos++];
-    }
-
-    std::uint16_t
-    u16()
-    {
-        const std::uint16_t lo = u8();
-        return static_cast<std::uint16_t>(lo | (std::uint16_t(u8()) << 8));
-    }
-
-    std::uint32_t
-    u32()
-    {
-        const std::uint32_t lo = u16();
-        return lo | (std::uint32_t(u16()) << 16);
-    }
-
-    std::uint64_t
-    u64()
-    {
-        const std::uint64_t lo = u32();
-        return lo | (std::uint64_t(u32()) << 32);
-    }
+    std::uint8_t u8() { return word<std::uint8_t>(); }
+    std::uint16_t u16() { return word<std::uint16_t>(); }
+    std::uint32_t u32() { return word<std::uint32_t>(); }
+    std::uint64_t u64() { return word<std::uint64_t>(); }
 
     std::int8_t i8() { return static_cast<std::int8_t>(u8()); }
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
@@ -202,13 +269,26 @@ class BinReader
     bool
     bytes(void *out, std::size_t n)
     {
-        if (pos + n > len || pos + n < pos) {
+        const std::uint8_t *p = take(n);
+        if (p != nullptr)
+            std::memcpy(out, p, n);
+        return p != nullptr;
+    }
+
+    /**
+     * Consume the next @p n bytes and return where they start; when
+     * fewer remain, fail and return nullptr, consuming nothing.
+     */
+    const std::uint8_t *
+    take(std::size_t n)
+    {
+        if (n > len - pos) {
             failed = true;
-            return false;
+            return nullptr;
         }
-        std::memcpy(out, base + pos, n);
+        const std::uint8_t *p = base + pos;
         pos += n;
-        return true;
+        return p;
     }
 
     std::string
@@ -253,6 +333,21 @@ class BinReader
     bool atEnd() const { return pos == len; }
 
   private:
+    /** One bounds check, then the little-endian word; a read that
+     *  does not fit fails, returns 0 and consumes nothing. */
+    template <class T>
+    T
+    word()
+    {
+        if (sizeof(T) > len - pos) {
+            failed = true;
+            return 0;
+        }
+        const T v = loadLe<T>(base + pos);
+        pos += sizeof(T);
+        return v;
+    }
+
     const std::uint8_t *base;
     std::size_t len;
     std::size_t pos = 0;

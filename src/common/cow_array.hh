@@ -179,6 +179,31 @@ class CowArray
         count = n;
     }
 
+    /**
+     * Replace the contents with @p n elements written chunk by chunk:
+     * each new chunk is value-initialized and at once handed to
+     * @p fill as a std::span<T> of its live elements, while it is
+     * still in cache. Once @p fill returns false, the chunks after
+     * that one are left value-initialized.
+     */
+    template <class Fill>
+    void
+    assign(std::size_t n, Fill &&fill)
+    {
+        releaseAll();
+        const std::size_t want = (n + chunkSize - 1) / chunkSize;
+        chunks.reserve(want);
+        owned.assign(want, 1);
+        count = n;
+        bool filling = true;
+        for (std::size_t c = 0; c < want; ++c) {
+            chunks.push_back(new Chunk());
+            if (filling)
+                filling = fill(std::span<T>(chunks[c]->elems.data(),
+                                            chunkLength(c)));
+        }
+    }
+
     void
     clear()
     {

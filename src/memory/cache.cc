@@ -5,19 +5,34 @@ namespace lvpsim
 namespace mem
 {
 
-Cache::Cache(const CacheConfig &config) : cfg(config)
+std::size_t
+Cache::setsOf(const CacheConfig &cfg)
 {
     lvp_assert(isPowerOf2(cfg.blockSize), "block size not pow2");
-    blockShift = log2i(cfg.blockSize);
     const std::size_t num_blocks = cfg.sizeBytes / cfg.blockSize;
     lvp_assert(num_blocks % cfg.assoc == 0, "bad geometry");
-    numSets = num_blocks / cfg.assoc;
-    lvp_assert(isPowerOf2(numSets), "sets not pow2");
+    const std::size_t sets = num_blocks / cfg.assoc;
+    lvp_assert(isPowerOf2(sets), "sets not pow2");
     // Every set lies in one copy-on-write chunk, so an access checks
     // ownership once, not once per way.
     lvp_assert(CowArray<Line>::chunkSize % cfg.assoc == 0,
                "associativity must divide %zu", CowArray<Line>::chunkSize);
-    st.lines.resize(num_blocks);
+    return sets;
+}
+
+Cache::Cache(const CacheConfig &config)
+    : cfg(config), blockShift(log2i(cfg.blockSize)), numSets(setsOf(cfg))
+{
+    st.lines.resize(numSets * cfg.assoc);
+}
+
+Cache::Cache(const CacheConfig &config, const State &s)
+    : cfg(config), blockShift(log2i(cfg.blockSize)), numSets(setsOf(cfg)),
+      st(s)
+{
+    lvp_assert(st.lines.size() == numSets * cfg.assoc,
+               "%s: state of %zu lines for %zu", cfg.name.c_str(),
+               st.lines.size(), numSets * cfg.assoc);
 }
 
 bool

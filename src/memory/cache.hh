@@ -101,10 +101,20 @@ class Cache
         }
     };
 
+    /**
+     * A cache of geometry @p cfg that starts in state @p s, sharing
+     * its line chunks: the same as constructing one and restoring
+     * @p s, without allocating the empty lines first.
+     */
+    Cache(const CacheConfig &cfg, const State &s);
+
     void saveState(State &s) const { s = st; }
     void restoreState(const State &s) { st = s; }
 
   private:
+    /** Checks @p cfg's geometry and returns its set count. */
+    static std::size_t setsOf(const CacheConfig &cfg);
+
     Addr blockAddr(Addr a) const { return a & ~Addr(cfg.blockSize - 1); }
     std::size_t setOf(Addr a) const
     {

@@ -11,6 +11,15 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &config)
 {
 }
 
+MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &config,
+                                 const Snapshot &s)
+    : cfg(config), icache(cfg.l1i, s.icache), dcache(cfg.l1d, s.dcache),
+      l2cache(cfg.l2, s.l2cache), l3cache(cfg.l3, s.l3cache)
+{
+    dtlb.restoreState(s.dtlb);
+    pf.restoreState(s.pf);
+}
+
 Cycle
 MemoryHierarchy::fillFromBeyond(Addr addr, AccessResult &res)
 {

@@ -90,6 +90,13 @@ class MemoryHierarchy
         }
     };
 
+    /**
+     * A hierarchy of geometry @p cfg that starts in state @p s: the
+     * caches are built from their saved states (sharing their line
+     * chunks), so no empty line array is allocated and dropped.
+     */
+    MemoryHierarchy(const HierarchyConfig &cfg, const Snapshot &s);
+
     void
     saveState(Snapshot &s) const
     {

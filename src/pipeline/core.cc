@@ -18,21 +18,46 @@ using trace::OpClass;
 Core::Core(const CoreConfig &config,
            const std::vector<trace::MicroOp> &trace_code,
            LoadValuePredictor *predictor)
-    : cfg(config), code(trace_code),
-      vp(predictor ? predictor : &nullVp), memory(cfg.memory),
-      tage(cfg.tage, cfg.seed ^ 0x7a9e),
-      ittage(cfg.ittage, cfg.seed ^ 0x177a9e), ras(cfg.rasDepth)
+    : Core(config, trace_code, predictor, nullptr)
 {
-    st.rob.configure(cfg.robSize);
-    st.fetchBuf.configure(2 * cfg.fetchWidth);
-    st.paq.configure(cfg.paqSize);
-    st.ldq.configure(cfg.ldqSize);
-    st.stq.configure(cfg.stqSize);
-    // Both maps are bounded by the in-flight window (the stash only
-    // ever holds trace indices that are still ahead of fetchIdx, see
-    // squashYoungerThan); pre-sizing makes them allocation-free.
-    st.inflightLoadPcs.reserve(inflightWindow());
-    st.refetchStash.reserve(inflightWindow());
+}
+
+Core::Core(const CoreConfig &config,
+           const std::vector<trace::MicroOp> &trace_code,
+           LoadValuePredictor *predictor, const Snapshot &from)
+    : Core(config, trace_code, predictor, &from)
+{
+}
+
+Core::Core(const CoreConfig &config,
+           const std::vector<trace::MicroOp> &trace_code,
+           LoadValuePredictor *predictor, const Snapshot *from)
+    : cfg(config), code(trace_code),
+      vp(predictor ? predictor : &nullVp),
+      memory(from ? mem::MemoryHierarchy(cfg.memory, from->memory)
+                  : mem::MemoryHierarchy(cfg.memory)),
+      tage(cfg.tage, cfg.seed ^ 0x7a9e),
+      ittage(cfg.ittage, cfg.seed ^ 0x177a9e), ras(cfg.rasDepth),
+      st(from ? from->pipeline : State{})
+{
+    if (from) {
+        memdep.restoreState(from->memdep);
+        tage.restoreState(from->tage);
+        ittage.restoreState(from->ittage);
+        ras.restoreState(from->ras);
+    } else {
+        st.rob.configure(cfg.robSize);
+        st.fetchBuf.configure(2 * cfg.fetchWidth);
+        st.paq.configure(cfg.paqSize);
+        st.ldq.configure(cfg.ldqSize);
+        st.stq.configure(cfg.stqSize);
+        // Both maps are bounded by the in-flight window (the stash
+        // only ever holds trace indices that are still ahead of
+        // fetchIdx, see squashYoungerThan); pre-sizing makes them
+        // allocation-free.
+        st.inflightLoadPcs.reserve(inflightWindow());
+        st.refetchStash.reserve(inflightWindow());
+    }
     rebuildSchedule();
 }
 

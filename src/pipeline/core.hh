@@ -325,10 +325,27 @@ class Core
         }
     };
 
+    /**
+     * A core that starts in state @p from: bit-identical to
+     * constructing one with the same arguments and calling
+     * restoreState(from), but its caches are built straight from the
+     * snapshot's (sharing its copy-on-write chunks), so no empty line
+     * arrays are allocated, zeroed and dropped. @p from must have the
+     * geometry of @p cfg (see snapshotShape in snapshot_io.hh).
+     */
+    Core(const CoreConfig &cfg,
+         const std::vector<trace::MicroOp> &code,
+         LoadValuePredictor *vp, const Snapshot &from);
+
     void saveState(Snapshot &s) const;
     void restoreState(const Snapshot &s);
 
   private:
+    /** Both public constructors: fresh when @p from is nullptr. */
+    Core(const CoreConfig &cfg,
+         const std::vector<trace::MicroOp> &code,
+         LoadValuePredictor *vp, const Snapshot *from);
+
     const trace::MicroOp &opOf(const Inflight &f) const
     {
         return code[f.traceIdx];

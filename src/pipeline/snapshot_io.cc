@@ -3,6 +3,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -10,7 +11,9 @@
 #include <vector>
 
 #include "common/bitutils.hh"
+#include "common/check.hh"
 #include "common/cow_array.hh"
+#include "common/logging.hh"
 
 namespace lvpsim
 {
@@ -208,6 +211,91 @@ minEncodedBytes()
     return n;
 }
 
+/**
+ * Finds out whether a type is fixed-width: an integer, or a fields()
+ * struct whose members are all fixed-width. Every value of such a
+ * type encodes to minEncodedBytes() bytes.
+ */
+class FixedWidthProbe
+{
+  public:
+    template <class... T>
+    void
+    operator()(T &...xs)
+    {
+        (probe(xs), ...);
+    }
+
+    template <class T>
+    void
+    probe(T &x)
+    {
+        if constexpr (!std::is_integral_v<T>) {
+            if constexpr (requires { x.fields(*this); })
+                x.fields(*this);
+            else
+                fixed = false;
+        }
+    }
+
+    bool fixed = true;
+};
+
+template <class T>
+bool
+isFixedWidth()
+{
+    static const bool fixed = [] {
+        FixedWidthProbe p;
+        T x{};
+        p.probe(x);
+        return p.fixed;
+    }();
+    return fixed;
+}
+
+/**
+ * Decodes fixed-width values from bytes whose length the caller has
+ * already checked against the stream, so no read here checks bounds.
+ * Bool bytes above 1 and values that fail wellFormed() set `bad`,
+ * which the caller turns into a stream failure.
+ */
+class FixedWidthReader
+{
+  public:
+    explicit FixedWidthReader(const std::uint8_t *from) : p(from) {}
+
+    template <class... T>
+    void
+    operator()(T &...xs)
+    {
+        (get(xs), ...);
+    }
+
+    template <class T>
+    void
+    get(T &x)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            bad |= *p > 1;
+            x = *p++ == 1;
+        } else if constexpr (std::is_integral_v<T>) {
+            x = static_cast<T>(loadLe<std::make_unsigned_t<T>>(p));
+            p += sizeof(T);
+        } else if constexpr (requires { x.fields(*this); }) {
+            x.fields(*this);
+            if constexpr (requires { x.wellFormed(); })
+                bad |= !x.wellFormed();
+        } else {
+            // Never reached: isFixedWidth() keeps such types out.
+            bad = true;
+        }
+    }
+
+    const std::uint8_t *p;
+    bool bad = false;
+};
+
 /** Decodes what Writer encodes, validating as it goes. */
 class Reader
 {
@@ -260,6 +348,10 @@ class Reader
         const std::size_t n = r.count(minEncodedBytes<T>());
         v.clear();
         v.resize(n);
+        if (isFixedWidth<T>()) {
+            getFixedWidth(std::span<T>(v));
+            return;
+        }
         for (T &e : v) {
             get(e);
             if (!r.ok())
@@ -271,16 +363,35 @@ class Reader
     void
     get(CowArray<T> &v)
     {
+        lvp_assert(isFixedWidth<T>(),
+                   "copy-on-write arrays hold fixed-width elements");
         const std::size_t n = r.count(minEncodedBytes<T>());
-        v.clear();
-        v.resize(n);
-        for (std::size_t c = 0; c < v.numChunks(); ++c) {
-            for (T &e : v.writableChunk(c)) {
-                get(e);
-                if (!r.ok())
-                    return;
-            }
-        }
+        // Each chunk is decoded right after it is allocated, while it
+        // is still in cache.
+        v.assign(n, [&](std::span<T> chunk) {
+            getFixedWidth(chunk);
+            return r.ok();
+        });
+    }
+
+    /** Decode fixed-width elements after one bounds check for all
+     *  of them. */
+    template <class T>
+    void
+    getFixedWidth(std::span<T> out)
+    {
+        const std::size_t size = minEncodedBytes<T>();
+        const std::uint8_t *p = r.take(out.size() * size);
+        if (p == nullptr)
+            return;
+        FixedWidthReader in(p);
+        for (T &e : out)
+            in.get(e);
+        LVPSIM_CHECK(in.p == p + out.size() * size,
+                     "fixed-width decode consumed %td of %zu bytes",
+                     in.p - p, out.size() * size);
+        if (in.bad)
+            r.fail();
     }
 
     template <class T>

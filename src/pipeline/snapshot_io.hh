@@ -14,6 +14,10 @@
  * (`FoldedHistory`, `HistoryRing`, `Xoshiro256`, `Prediction`,
  * `std::vector<bool>`, `SimStats`) have hand-written codecs.
  *
+ * Vectors and copy-on-write arrays of fixed-width elements (integers,
+ * or structs of them, such as cache lines) decode a whole vector or
+ * chunk after one bounds check.
+ *
  * Deserialization is *total*: structurally or semantically invalid
  * input flips the BinReader's sticky fail flag (checked by the store,
  * which treats it as a miss) and never asserts or throws. A decoded

@@ -179,8 +179,8 @@ CheckpointStore::tryLoadAt(const std::string &path,
         if (hdr.ok() && magic == kStoreMagic &&
             version == kStoreFormatVersion && storedKey == key &&
             payloadLen == hdr.remaining() &&
-            checksum == fnv1a64(mf.data() + hdr.offset(),
-                                static_cast<std::size_t>(payloadLen))) {
+            checksum == checksum64(mf.data() + hdr.offset(),
+                                   static_cast<std::size_t>(payloadLen))) {
             BinReader payload(mf.data() + hdr.offset(),
                               static_cast<std::size_t>(payloadLen));
             ok = decode(payload) && payload.ok();
@@ -221,7 +221,7 @@ CheckpointStore::publish(const std::string &key,
     file.u32(kStoreFormatVersion);
     file.str(key);
     file.u64(payload.size());
-    file.u64(fnv1a64(payload.buffer().data(), payload.size()));
+    file.u64(checksum64(payload.buffer().data(), payload.size()));
     file.bytes(payload.buffer().data(), payload.size());
     atomicWriteFile(path, file.buffer().data(), file.size());
     ioMicros.fetch_add(microsSince(t0), std::memory_order_relaxed);

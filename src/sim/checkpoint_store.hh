@@ -8,8 +8,9 @@
  * Entries are whole files under one directory, named by a hash of
  * their full cache key. Each file carries a self-describing header —
  * magic, format version, the complete key string, payload length and
- * an FNV-1a checksum — and is published with write-to-temp +
- * rename(2), so readers see either nothing or a complete entry.
+ * a checksum64 of the payload (common/binio.hh) — and is published
+ * with write-to-temp + rename(2), so readers see either nothing or a
+ * complete entry.
  * Loads mmap the file and validate the header; any mismatch
  * (truncation, flipped bytes, version bump, key collision) is a
  * *miss*, never an error: the caller rebuilds and republishes.
@@ -41,8 +42,12 @@ namespace lvpsim
 namespace sim
 {
 
-/** Bumped when the store file header layout changes. */
-constexpr std::uint32_t kStoreFormatVersion = 1;
+/**
+ * Bumped when the store file header layout or its checksum changes;
+ * entries of another version are misses that get rebuilt. Version 2
+ * replaced the payload's FNV-1a checksum with checksum64.
+ */
+constexpr std::uint32_t kStoreFormatVersion = 2;
 
 /** "LVPC" little-endian. */
 constexpr std::uint32_t kStoreMagic = 0x4350564cu;

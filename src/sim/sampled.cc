@@ -261,12 +261,13 @@ runSampledWorkload(const std::string &workload,
     std::uint64_t vpPos = 0;
     std::uint64_t vpToken = std::uint64_t(1) << 62;
 
-    // One core for the whole cell, restored for each representative:
+    // One core for the whole cell, built from the first
+    // representative's checkpoint and restored for each later one:
     // restoreState() overwrites every field of the core's State and
     // rebuilds the scheduler indices from it, so a reused core resumes
     // exactly like a fresh one (the k = 3 composite+sampled rows of
     // the behaviour fingerprint pin this).
-    pipe::Core core(rc.core, *ops, vp);
+    pipe::Core core(rc.core, *ops, vp, ckpts[ckPos[0]]->core);
     lap(host.restore);
 
     for (std::size_t r = 0; r < plan->reps.size(); ++r) {
@@ -285,7 +286,8 @@ runSampledWorkload(const std::string &workload,
         }
         lap(host.vpTrain);
 
-        core.restoreState(ckpts[ckPos[r]]->core);
+        if (r > 0)
+            core.restoreState(ckpts[ckPos[r]]->core);
         installProgressHook(core, workload);
         lap(host.restore);
         if (warm)

@@ -384,13 +384,13 @@ runWorkload(const std::string &workload, pipe::LoadValuePredictor *vp,
         workload, rc.maxInstrs + rc.warmupInstrs, rc.traceSeed);
     if (rc.warmupInstrs == 0)
         return runTrace(*ops, vp, rc);
-    // Restore the memoized post-warmup state instead of re-simulating
-    // the warmup region; bit-identical to the inline path because the
-    // warmup region never touches the (freshly constructed) VP.
+    // Start from the memoized post-warmup state instead of
+    // re-simulating the warmup region; bit-identical to the inline
+    // path because the warmup region never touches the (freshly
+    // constructed) VP.
     auto ckpt = CheckpointCache::instance().get(workload, rc);
-    pipe::Core core(rc.core, *ops, vp);
+    pipe::Core core(rc.core, *ops, vp, ckpt->core);
     installProgressHook(core, workload);
-    core.restoreState(ckpt->core);
     return core.run();
 }
 

@@ -1,9 +1,11 @@
 /**
  * @file
- * Proof of the PR's allocation-free steady state: after a warm-up
- * run (caches filled, scratch buffers at capacity, hash maps at
- * their reserved sizes), continuing the simulation for tens of
- * thousands of instructions performs ZERO heap allocations.
+ * Proof of the allocation-free steady state: after a warm-up run
+ * (caches filled, scratch buffers at capacity, hash maps at their
+ * reserved sizes), continuing the simulation for tens of thousands
+ * of instructions performs ZERO heap allocations. Also bounds the
+ * allocations of a core built from a checkpoint, which shares the
+ * checkpoint's cache lines.
  *
  * The proof instruments the global operator new/delete in this test
  * binary only. Because of that, this binary must NOT carry the
@@ -110,4 +112,38 @@ TEST(AllocFree, SteadyStateAcrossSquashHeavyPointerChase)
     pipe::CoreConfig cfg;
     pipe::Core core(cfg, ops, &vp);
     EXPECT_EQ(allocsInSteadyState(core, 8000, 40000), 0u);
+}
+
+TEST(AllocFree, CoreFromSnapshotSharesItsCacheLines)
+{
+    // A core built from a checkpoint starts from the snapshot's
+    // copy-on-write cache lines instead of allocating (and zeroing)
+    // its own: a fresh core makes one allocation per 4 KiB chunk of
+    // lines, several hundred of them at the default geometry.
+    const auto ops = trace::generateWorkload("hash_probe", 40000, 1);
+    pipe::CoreConfig cfg;
+    pipe::Core::Snapshot snap;
+    {
+        pipe::Core warm(cfg, ops, nullptr);
+        warm.warmup(8000);
+        warm.saveState(snap);
+    }
+    vp::CompositePredictor vp(
+        vp::CompositeConfig::homogeneous(4096));
+
+    std::uint64_t before = g_allocCount;
+    {
+        pipe::Core fresh(cfg, ops, &vp);
+        fresh.restoreState(snap);
+    }
+    const std::uint64_t freshAllocs = g_allocCount - before;
+
+    before = g_allocCount;
+    pipe::Core core(cfg, ops, &vp, snap);
+    const std::uint64_t fromSnapshot = g_allocCount - before;
+    RecordProperty("allocs_fresh_then_restore", int(freshAllocs));
+    RecordProperty("allocs_from_snapshot", int(fromSnapshot));
+    EXPECT_LT(fromSnapshot, 100u);
+    EXPECT_GT(freshAllocs, 5 * fromSnapshot);
+    EXPECT_GT(core.run(1000).instructions, 0u);
 }

@@ -199,3 +199,44 @@ TEST(Cache, SavedStateIsIsolatedFromLaterAccesses)
         EXPECT_EQ(live.misses(), replay.misses()) << what;
     }
 }
+
+TEST(Cache, BuiltFromStateMatchesRestoreAndSharesLines)
+{
+    // 32 KiB, 4-way: enough lines for several copy-on-write chunks.
+    const CacheConfig cfg{"l1", 32 * 1024, 4, 64, 2};
+    Cache warm(cfg);
+    for (Addr a = 0; a < 64 * 1024; a += 192) {
+        if (!warm.probe(a))
+            warm.fill(a, (a & 0x100) != 0, nullptr);
+    }
+    Cache::State saved;
+    warm.saveState(saved);
+
+    Cache built(cfg, saved);
+    Cache::State fromBuilt;
+    built.saveState(fromBuilt);
+    EXPECT_EQ(fromBuilt.lines.chunksSharedWith(saved.lines),
+              saved.lines.numChunks())
+        << "building from a state copied its lines";
+
+    Cache restored(cfg);
+    restored.restoreState(saved);
+    for (Addr a = 0; a < 96 * 1024; a += 320) {
+        bool wbBuilt = false, wbRestored = false;
+        ASSERT_EQ(built.probe(a), restored.probe(a)) << a;
+        ASSERT_EQ(built.fill(a, true, &wbBuilt),
+                  restored.fill(a, true, &wbRestored))
+            << a;
+        ASSERT_EQ(wbBuilt, wbRestored) << a;
+    }
+    EXPECT_EQ(built.hits(), restored.hits());
+    EXPECT_EQ(built.misses(), restored.misses());
+
+    // The built cache's writes cloned its chunks; the state it came
+    // from still replays like the first time.
+    Cache again(cfg, saved);
+    Cache twin(cfg);
+    twin.restoreState(fromBuilt);
+    for (Addr a = 0; a < 96 * 1024; a += 320)
+        ASSERT_EQ(again.probe(a), twin.probe(a)) << a;
+}

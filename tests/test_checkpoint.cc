@@ -2,9 +2,10 @@
  * @file
  * Warmup checkpointing and the sweep-engine memo caches
  * (sim::CheckpointCache / sim::BaselineCache): build-once semantics
- * under concurrency, restore bit-identity against inline warmup, and
- * the warmup=0 fast path staying byte-for-byte the pre-checkpoint
- * engine.
+ * under concurrency, restore bit-identity against inline warmup,
+ * cores built from a snapshot matching a fresh core restored from it,
+ * and the warmup=0 fast path staying byte-for-byte the
+ * pre-checkpoint engine.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/binio.hh"
 #include "core/composite.hh"
 #include "core/lvp_interface.hh"
 #include "sim/experiment.hh"
@@ -198,4 +200,104 @@ TEST(Checkpoint, RestoreMatchesInlineWarmup)
         sim::runWorkload(kWorkload, restored_vp.get(), rc);
 
     EXPECT_EQ(flat(inline_stats), flat(restored));
+}
+
+namespace
+{
+
+/** Hash of a core's commit stream, with the number of commits. */
+struct CommitStream
+{
+    std::uint64_t hash = kFnvOffsetBasis;
+    std::uint64_t commits = 0;
+
+    void
+    attach(pipe::Core &core)
+    {
+        core.setCommitHook([this](const pipe::CommitRecord &r) {
+            const std::uint64_t words[] = {
+                r.traceIdx, r.pc, std::uint64_t(r.cls), r.effAddr,
+                r.memSize, r.value};
+            hash = fnv1a64(words, sizeof words, hash);
+            ++commits;
+        });
+    }
+
+    bool operator==(const CommitStream &) const = default;
+};
+
+} // anonymous namespace
+
+TEST(Checkpoint, CoreBuiltFromSnapshotMatchesRestore)
+{
+    const auto rc = shortRun(6000);
+    for (const char *w : {"stream_sum", "pointer_chase", "interp_dispatch"}) {
+        auto ops = sim::TraceCache::instance().get(
+            w, rc.maxInstrs + rc.warmupInstrs, rc.traceSeed);
+        const auto ck = sim::CheckpointCache::instance().get(w, rc);
+
+        // Reference: a fresh core, then restoreState.
+        vp::CompositePredictor refVp(vp::CompositeConfig::bestOf(1024));
+        pipe::Core ref(rc.core, *ops, &refVp);
+        CommitStream refStream;
+        refStream.attach(ref);
+        ref.restoreState(ck->core);
+        const auto refStats = ref.run();
+
+        // Under test, twice: the first core's writes must not reach
+        // the snapshot it shares chunks with.
+        for (int pass = 0; pass < 2; ++pass) {
+            vp::CompositePredictor vp(vp::CompositeConfig::bestOf(1024));
+            pipe::Core built(rc.core, *ops, &vp, ck->core);
+            CommitStream stream;
+            stream.attach(built);
+            EXPECT_EQ(flat(built.run()), flat(refStats))
+                << w << " pass " << pass;
+            EXPECT_TRUE(stream == refStream) << w << " pass " << pass;
+            EXPECT_GT(stream.commits, 0u);
+        }
+    }
+}
+
+TEST(Checkpoint, SampledCoreBuiltFromFirstSnapshotMatchesRestore)
+{
+    // The sampled driver's pattern with k = 3 representatives: one
+    // core for the cell, built from the first checkpoint and restored
+    // for each later one, against a fresh core restored for all three.
+    sim::RunConfig rc;
+    rc.maxInstrs = 12000;
+    rc.sampleK = 3;
+    rc.sampleIntervalLen = 1000;
+    const std::vector<std::uint64_t> idx = {2000, 5000, 9000};
+    for (const char *w : {"hash_probe", "call_tree"}) {
+        auto ops =
+            sim::TraceCache::instance().get(w, rc.maxInstrs, rc.traceSeed);
+        const auto ckpts =
+            sim::CheckpointCache::instance().getIntervals(w, rc, idx);
+        ASSERT_EQ(ckpts.size(), idx.size());
+
+        auto segments = [&](bool buildFromFirst) {
+            vp::CompositePredictor vp(vp::CompositeConfig::bestOf(1024));
+            pipe::Core core = buildFromFirst
+                                  ? pipe::Core(rc.core, *ops, &vp,
+                                               ckpts[0]->core)
+                                  : pipe::Core(rc.core, *ops, &vp);
+            CommitStream stream;
+            stream.attach(core);
+            std::vector<std::vector<std::pair<std::string, std::uint64_t>>>
+                out;
+            for (std::size_t r = 0; r < ckpts.size(); ++r) {
+                if (r > 0 || !buildFromFirst)
+                    core.restoreState(ckpts[r]->core);
+                out.push_back(flat(core.run(1500)));
+                core.drain();
+            }
+            return std::make_pair(out, stream);
+        };
+        const auto ref = segments(false);
+        const auto built = segments(true);
+        EXPECT_EQ(built.first, ref.first) << w;
+        EXPECT_TRUE(built.second == ref.second) << w;
+        EXPECT_GT(built.second.commits, 0u) << w;
+    }
 }

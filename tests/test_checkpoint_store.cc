@@ -2,10 +2,12 @@
  * @file
  * The persistent checkpoint store (sim/checkpoint_store.hh):
  * corruption robustness (version bumps, truncation, flipped bytes,
- * foreign keys are all misses, never crashes), LRU trimming, claim
- * timeouts, and the L1/L2 layering — CheckpointCache, BaselineCache
- * and PlanCache must serve from disk across an in-memory clear()
- * without re-simulating, bit-identically to the inline build.
+ * foreign keys are all misses, never crashes, and get rebuilt), the
+ * payload checksum (pinned values, single-byte and length
+ * sensitivity), LRU trimming, claim timeouts, and the L1/L2
+ * layering — CheckpointCache, BaselineCache and PlanCache must serve
+ * from disk across an in-memory clear() without re-simulating,
+ * bit-identically to the inline build.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +25,7 @@
 
 #include "common/binio.hh"
 #include "common/mmap_file.hh"
+#include "common/random.hh"
 #include "core/composite.hh"
 #include "core/lvp_interface.hh"
 #include "pipeline/snapshot_io.hh"
@@ -212,6 +216,190 @@ TEST_F(StoreTest, AnyFlippedByteIsMiss)
     EXPECT_TRUE(loadBytes(store, "k"));
 }
 
+namespace
+{
+
+/** The payload the checksum tests store: 31 whole 32-byte stripes
+ *  of four 8-byte lanes, then a 13-byte tail (one word, five bytes). */
+std::vector<std::uint8_t>
+stripedPayload()
+{
+    std::vector<std::uint8_t> p(31 * 32 + 13);
+    for (std::size_t i = 0; i < p.size(); ++i)
+        p[i] = std::uint8_t(i * 131 + 7);
+    return p;
+}
+
+/**
+ * Publish @p payload under @p key, apply @p damage to the entry file
+ * (given the file bytes and where the payload starts in them), then
+ * fetch the key: true when the damaged entry read as a miss, the
+ * build ran once and republished an entry that now loads intact. The
+ * fetch's decoder accepts any payload, so only the store's own
+ * header and checksum checks can make the damage a miss.
+ */
+bool
+missedAndRebuilt(
+    sim::CheckpointStore &store, const std::string &key,
+    const std::vector<std::uint8_t> &payload,
+    const std::function<void(std::vector<std::uint8_t> &, std::size_t)>
+        &damage)
+{
+    const auto path = publishBytes(store, key, payload);
+    auto bytes = readFile(path);
+    const std::size_t start = bytes.size() - payload.size();
+    damage(bytes, start);
+    rewriteFile(path, bytes);
+
+    const std::uint64_t misses0 = store.misses();
+    int builds = 0;
+    store.fetchOrBuild(
+        key,
+        [](BinReader &r) { return r.take(r.remaining()) != nullptr; },
+        [&](BinWriter &w) {
+            ++builds;
+            w.bytes(payload.data(), payload.size());
+        });
+    std::vector<std::uint8_t> reloaded;
+    return builds == 1 && store.misses() == misses0 + 1 &&
+           loadBytes(store, key, &reloaded) && reloaded == payload;
+}
+
+/** Overwrite the header's payload length (the u64 after the key). */
+void
+setPayloadLength(std::vector<std::uint8_t> &file, const std::string &key,
+                 std::uint64_t len)
+{
+    const std::size_t at = 4 + 4 + 8 + key.size();
+    for (std::size_t i = 0; i < 8; ++i)
+        file[at + i] = std::uint8_t(len >> (8 * i));
+}
+
+} // anonymous namespace
+
+TEST(StoreChecksum, PinnedValues)
+{
+    // checksum64 is part of the store's file format: a change to it
+    // must come with a kStoreFormatVersion bump and new values here.
+    std::vector<std::uint8_t> data(4101);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = std::uint8_t(i * 131 + 7);
+    const std::pair<std::size_t, std::uint64_t> pinned[] = {
+        {0, 0xef46db3751d8e999ull},
+        {1, 0xa96c7f0ce858bbb7ull},
+        {7, 0x5efffab35c445121ull},
+        {8, 0x994b676b71ce94ddull},
+        {31, 0xea8e3be57aeba66full},
+        {32, 0x525961e09e5c0b97ull},
+        {33, 0x69fcb2c0485d90fbull},
+        {4101, 0x26fae60c15b50b2full},
+    };
+    for (const auto &[len, want] : pinned) {
+        const std::uint64_t got = checksum64(data.data(), len);
+        EXPECT_EQ(got, want) << "length " << len << ": 0x" << std::hex
+                             << got;
+    }
+}
+
+TEST(StoreChecksum, EverySingleByteAndLengthChangeCounts)
+{
+    Xoshiro256 rng(42);
+    for (const std::size_t n :
+         {0u, 1u, 7u, 8u, 9u, 31u, 32u, 33u, 63u, 64u, 65u, 200u}) {
+        std::vector<std::uint8_t> data(n + 1);
+        for (auto &b : data)
+            b = std::uint8_t(rng.next());
+        const std::uint64_t base = checksum64(data.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
+                data[i] ^= mask;
+                EXPECT_NE(checksum64(data.data(), n), base)
+                    << "length " << n << " byte " << i;
+                data[i] ^= mask;
+            }
+        }
+        if (n > 0) {
+            EXPECT_NE(checksum64(data.data(), n - 1), base) << n;
+        }
+        for (const std::uint8_t extra : {0x00, 0x5a}) {
+            data[n] = extra;
+            EXPECT_NE(checksum64(data.data(), n + 1), base) << n;
+        }
+    }
+    // Zero runs differ only in length.
+    const std::vector<std::uint8_t> zeros(300, 0);
+    std::vector<std::uint64_t> sums;
+    for (std::size_t n = 0; n <= zeros.size(); ++n)
+        sums.push_back(checksum64(zeros.data(), n));
+    std::sort(sums.begin(), sums.end());
+    EXPECT_EQ(std::adjacent_find(sums.begin(), sums.end()), sums.end());
+}
+
+TEST_F(StoreTest, DamagedPayloadIsMissAndRebuilt)
+{
+    sim::CheckpointStore store;
+    store.configure(dir, 0);
+    const auto payload = stripedPayload();
+    // First and last byte, both sides of every lane boundary of the
+    // first stripe and of a middle one, the last stripe's end, the
+    // tail word and the tail bytes.
+    const std::size_t offsets[] = {0,   7,   8,   15,  16,  23,  24,
+                                   31,  32,  511, 512, 991, 992, 999,
+                                   1000, 1002, payload.size() - 1};
+    for (const std::size_t at : offsets) {
+        EXPECT_TRUE(missedAndRebuilt(
+            store, "flip", payload,
+            [&](std::vector<std::uint8_t> &f, std::size_t start) {
+                f[start + at] ^= 0x01;
+            }))
+            << "payload byte " << at;
+    }
+}
+
+TEST_F(StoreTest, ResizedPayloadIsMissAndRebuilt)
+{
+    sim::CheckpointStore store;
+    store.configure(dir, 0);
+    const auto payload = stripedPayload();
+    const std::string key = "resize";
+    // The file alone shortened or lengthened by a byte, and the same
+    // with the header's length made to agree, so that only the
+    // checksum can tell.
+    for (const bool fixLength : {false, true}) {
+        EXPECT_TRUE(missedAndRebuilt(
+            store, key, payload,
+            [&](std::vector<std::uint8_t> &f, std::size_t) {
+                f.pop_back();
+                if (fixLength)
+                    setPayloadLength(f, key, payload.size() - 1);
+            }))
+            << "truncated, length fixed " << fixLength;
+        EXPECT_TRUE(missedAndRebuilt(
+            store, key, payload,
+            [&](std::vector<std::uint8_t> &f, std::size_t) {
+                f.push_back(0);
+                if (fixLength)
+                    setPayloadLength(f, key, payload.size() + 1);
+            }))
+            << "extended, length fixed " << fixLength;
+    }
+}
+
+TEST_F(StoreTest, FormatVersionOneEntryIsMissAndRebuilt)
+{
+    // Entries written before checksum64 say version 1; whatever their
+    // checksum, they must be rebuilt, not trusted.
+    static_assert(sim::kStoreFormatVersion == 2);
+    sim::CheckpointStore store;
+    store.configure(dir, 0);
+    EXPECT_TRUE(missedAndRebuilt(
+        store, "v1", stripedPayload(),
+        [](std::vector<std::uint8_t> &f, std::size_t) {
+            f[4] = 1;
+            f[5] = f[6] = f[7] = 0;
+        }));
+}
+
 TEST_F(StoreTest, EntryServedUnderForeignKeyIsMiss)
 {
     sim::CheckpointStore store;
@@ -312,9 +500,10 @@ TEST_F(StoreTest, ResolveDirPrecedence)
     EXPECT_EQ(sim::CheckpointStore::resolveDir(""), "");
     unsetenv("LVPSIM_STORE");
     const char *home = std::getenv("HOME");
-    if (home && *home)
+    if (home && *home) {
         EXPECT_EQ(sim::CheckpointStore::resolveDir(""),
                   std::string(home) + "/.cache/lvpsim");
+    }
 }
 
 namespace

@@ -3,12 +3,14 @@
  * Unit tests for common/cow_array.hh: a seeded random mix of reads,
  * writes, copies, assignments, moves and resizes over a few arrays
  * must match std::vector references element for element, whichever
- * side of a copy writes first; and the chunk accounting is exact (a
- * fresh copy shares every chunk, one write clones exactly one).
+ * side of a copy writes first; the chunk accounting is exact (a
+ * fresh copy shares every chunk, one write clones exactly one); and
+ * assign() hands each new chunk to its fill exactly once.
  */
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -197,4 +199,48 @@ TEST(CowArray, UnsharedChunkIsWrittenInPlace)
     }
     EXPECT_EQ(a.writable(0), before);
     EXPECT_EQ(a.writable(1), before + 1);
+}
+
+TEST(CowArray, AssignFillsEachNewChunkOnce)
+{
+    Array a;
+    a.resize(3);
+    a.writable(0)->v = 99;
+    const Array old = a; // shares a's chunk; must not see the assign
+    std::vector<std::size_t> lengths;
+    std::uint64_t next = 0;
+    a.assign(2 * Array::chunkSize + 2, [&](std::span<Elem> chunk) {
+        lengths.push_back(chunk.size());
+        for (Elem &e : chunk) {
+            EXPECT_EQ(e.v, 0u) << "chunk handed over uninitialized";
+            e.v = ++next;
+        }
+        return true;
+    });
+    EXPECT_EQ(lengths,
+              (std::vector<std::size_t>{Array::chunkSize,
+                                        Array::chunkSize, 2}));
+    std::vector<std::uint64_t> want(2 * Array::chunkSize + 2);
+    for (std::size_t i = 0; i < want.size(); ++i)
+        want[i] = i + 1;
+    expectMatches(a, want, 0);
+    expectMatches(old, {99, 0, 0}, 0);
+    // The new chunks are a's alone: writes land in place.
+    const Elem *before = &a[Array::chunkSize];
+    EXPECT_EQ(a.writable(Array::chunkSize), before);
+
+    // A fill that stops leaves the later chunks value-initialized.
+    int calls = 0;
+    a.assign(2 * Array::chunkSize + 1, [&](std::span<Elem> chunk) {
+        for (Elem &e : chunk)
+            e.v = 7;
+        return ++calls < 2;
+    });
+    EXPECT_EQ(calls, 2);
+    want.assign(2 * Array::chunkSize + 1, 7);
+    want.back() = 0;
+    expectMatches(a, want, 1);
+
+    a.assign(0, [](std::span<Elem>) { return true; });
+    expectMatches(a, {}, 2);
 }

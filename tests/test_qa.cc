@@ -61,11 +61,14 @@ TEST(QaGen, TracesAreValidByConstruction)
         ASSERT_GE(t.size(), 64u);
         ASSERT_LE(t.size(), 4096u);
         for (const MicroOp &op : t) {
-            if (op.dst != invalidReg)
+            if (op.dst != invalidReg) {
                 EXPECT_LT(op.dst, numArchRegs);
-            for (RegId s : op.src)
-                if (s != invalidReg)
+            }
+            for (RegId s : op.src) {
+                if (s != invalidReg) {
                     EXPECT_LT(s, numArchRegs);
+                }
+            }
             if (op.isLoad() || op.isStore()) {
                 EXPECT_TRUE(op.memSize == 1 || op.memSize == 2 ||
                             op.memSize == 4 || op.memSize == 8);
@@ -74,11 +77,13 @@ TEST(QaGen, TracesAreValidByConstruction)
             } else {
                 EXPECT_FALSE(op.exclusiveMem);
             }
-            if (op.isBranch() && op.taken)
+            if (op.isBranch() && op.taken) {
                 EXPECT_NE(op.target, 0u);
+            }
             // Stores and control ops never write a register.
-            if (op.isStore() || op.isBranch())
+            if (op.isStore() || op.isBranch()) {
                 EXPECT_EQ(op.dst, invalidReg);
+            }
         }
     }
 }

@@ -6,14 +6,17 @@
  * never left memory, and every truncated payload must decode to a
  * clean failure (never a crash or a silently short snapshot), and a
  * snapshot that decodes but does not fit the core must be a store
- * miss.
+ * miss. BinReader itself is checked against a byte-at-a-time
+ * reference over random buffers and read sequences.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +25,7 @@
 
 #include "common/binio.hh"
 #include "common/mmap_file.hh"
+#include "common/random.hh"
 #include "core/lvp_interface.hh"
 #include "pipeline/core.hh"
 #include "pipeline/snapshot_io.hh"
@@ -239,6 +243,205 @@ TEST(SnapshotIo, BinWriterAppendsLittleEndianWords)
     EXPECT_EQ(r.u64(), 0x0f0e0d0c0b0a0908ull);
     EXPECT_EQ(r.i64(), -2);
     EXPECT_TRUE(r.ok() && r.atEnd());
+}
+
+namespace
+{
+
+/**
+ * BinReader's contract, a byte at a time: a read that does not fit
+ * fails (sticky), returns zero and consumes nothing; later reads that
+ * fit still succeed.
+ */
+class ByteReader
+{
+  public:
+    ByteReader(const std::uint8_t *data, std::size_t size)
+        : base(data), len(size)
+    {
+    }
+
+    std::uint64_t
+    le(std::size_t width)
+    {
+        if (len - pos < width) {
+            failed = true;
+            return 0;
+        }
+        std::uint64_t v = 0;
+        for (std::size_t i = 0; i < width; ++i)
+            v |= std::uint64_t(base[pos + i]) << (8 * i);
+        pos += width;
+        return v;
+    }
+
+    bool
+    b()
+    {
+        const std::uint64_t v = le(1);
+        if (v > 1)
+            failed = true;
+        return v == 1;
+    }
+
+    bool
+    bytes(std::uint8_t *out, std::size_t n)
+    {
+        if (len - pos < n) {
+            failed = true;
+            return false;
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = base[pos + i];
+        pos += n;
+        return true;
+    }
+
+    std::string
+    str()
+    {
+        const std::uint64_t n = le(8);
+        if (failed || n > len - pos) {
+            failed = true;
+            return {};
+        }
+        std::string s;
+        for (std::size_t i = 0; i < n; ++i)
+            s.push_back(char(base[pos + i]));
+        pos += n;
+        return s;
+    }
+
+    std::size_t
+    count(std::size_t minBytes)
+    {
+        const std::uint64_t n = le(8);
+        if (failed || n > (len - pos) / minBytes) {
+            failed = true;
+            return 0;
+        }
+        return std::size_t(n);
+    }
+
+    const std::uint8_t *base;
+    std::size_t len;
+    std::size_t pos = 0;
+    bool failed = false;
+};
+
+} // anonymous namespace
+
+TEST(SnapshotIo, BinReaderMatchesByteReference)
+{
+    // Random buffers (heap blocks of exactly their size, so a read
+    // past the end trips AddressSanitizer) and random read sequences
+    // that run into and past the end: BinReader must agree with the
+    // byte-wise reference on every value, ok() and remaining().
+    Xoshiro256 rng(0x5eed);
+    for (int round = 0; round < 3000; ++round) {
+        const std::size_t n = rng.next() % 48;
+        std::unique_ptr<std::uint8_t[]> buf(new std::uint8_t[n]);
+        for (std::size_t i = 0; i < n; ++i) {
+            // Mostly small bytes, so bools, string lengths and counts
+            // are often valid.
+            const std::uint64_t x = rng.next();
+            buf[i] = std::uint8_t(x % 4 == 0 ? x >> 8 : (x >> 8) % 3);
+        }
+        BinReader r(buf.get(), n);
+        ByteReader ref(buf.get(), n);
+        for (int step = 0; step < 12; ++step) {
+            const unsigned op = unsigned(rng.next() % 12);
+            const std::size_t k = rng.next() % 10;
+            SCOPED_TRACE(::testing::Message()
+                         << "round " << round << " step " << step
+                         << " op " << op << " k " << k);
+            switch (op) {
+              case 0: ASSERT_EQ(r.u8(), ref.le(1)); break;
+              case 1: ASSERT_EQ(r.u16(), ref.le(2)); break;
+              case 2: ASSERT_EQ(r.u32(), ref.le(4)); break;
+              case 3: ASSERT_EQ(r.u64(), ref.le(8)); break;
+              case 4: ASSERT_EQ(r.i8(), std::int8_t(ref.le(1))); break;
+              case 5: ASSERT_EQ(r.i64(), std::int64_t(ref.le(8))); break;
+              case 6: ASSERT_EQ(r.b(), ref.b()); break;
+              case 7: {
+                const double d = r.f64();
+                std::uint64_t bits;
+                std::memcpy(&bits, &d, sizeof bits);
+                ASSERT_EQ(bits, ref.le(8));
+                break;
+              }
+              case 8: {
+                std::uint8_t got[16] = {}, want[16] = {};
+                ASSERT_EQ(r.bytes(got, k), ref.bytes(want, k));
+                ASSERT_EQ(std::memcmp(got, want, sizeof got), 0);
+                break;
+              }
+              case 9: ASSERT_EQ(r.str(), ref.str()); break;
+              case 10: ASSERT_EQ(r.count(k + 1), ref.count(k + 1)); break;
+              default: {
+                const std::uint8_t *p = r.take(k);
+                std::uint8_t want[16] = {};
+                const bool fits = ref.bytes(want, k);
+                ASSERT_EQ(p != nullptr, fits);
+                if (fits) {
+                    ASSERT_EQ(p, buf.get() + ref.pos - k);
+                }
+                break;
+              }
+            }
+            ASSERT_EQ(r.ok(), !ref.failed);
+            ASSERT_EQ(r.remaining(), n - ref.pos);
+            ASSERT_EQ(r.offset(), ref.pos);
+        }
+    }
+}
+
+TEST(SnapshotIo, BinReaderWordsStraddlingTheEndFailClosed)
+{
+    // Every word width at every position that leaves it short: the
+    // read fails, returns 0 and consumes nothing, and a byte read
+    // that still fits afterwards succeeds.
+    for (std::size_t width : {2u, 4u, 8u}) {
+        for (std::size_t have = 0; have < width; ++have) {
+            std::unique_ptr<std::uint8_t[]> buf(new std::uint8_t[have]);
+            for (std::size_t i = 0; i < have; ++i)
+                buf[i] = std::uint8_t(0xa0 + i);
+            BinReader r(buf.get(), have);
+            const std::uint64_t v = width == 2   ? r.u16()
+                                    : width == 4 ? r.u32()
+                                                 : r.u64();
+            EXPECT_EQ(v, 0u) << width << "/" << have;
+            EXPECT_FALSE(r.ok()) << width << "/" << have;
+            EXPECT_EQ(r.remaining(), have) << width << "/" << have;
+            if (have > 0) {
+                EXPECT_EQ(r.u8(), 0xa0u);
+                EXPECT_FALSE(r.ok()) << "failure must stay sticky";
+            }
+        }
+    }
+}
+
+TEST(SnapshotIo, CacheLineBoolAboveOneIsRejected)
+{
+    // The snapshot opens with the L1I's lines, a count and then
+    // (valid, dirty, tag, lastUse) = 18 bytes per line; they decode a
+    // chunk at a time, and a bool byte above 1 must still fail the
+    // stream, wherever in a chunk it sits.
+    const auto bytes = encode(warmSnapshot("stream_sum"));
+    BinReader head(bytes);
+    const std::uint64_t lines = head.u64();
+    ASSERT_EQ(lines, 1024u);
+    for (const std::size_t line : {std::size_t(0), std::size_t(127),
+                                   std::size_t(128), std::size_t(1023)}) {
+        for (const std::size_t field : {0u, 1u}) {
+            auto bad = bytes;
+            bad[8 + 18 * line + field] = 2;
+            BinReader r(bad);
+            pipe::Core::Snapshot s;
+            pipe::deserializeSnapshot(r, s);
+            EXPECT_FALSE(r.ok()) << "line " << line << " field " << field;
+        }
+    }
 }
 
 TEST(SnapshotIo, BinWriterReserveGrowsGeometrically)
