@@ -9,47 +9,52 @@
 #include <cstdint>
 #include <functional>
 #include <ostream>
+#include <string>
 #include <string_view>
+#include <vector>
 
 namespace lvpsim
 {
 namespace pipe
 {
 
+/// Slots of the per-component counters: one per ComponentId from LVP
+/// to Other.
+inline constexpr std::size_t kComponentSlots = 5;
+
+/**
+ * Counters of one run. Each one's results-JSON name, unit and meaning
+ * are registered once, in counters() (sim_stats.cc).
+ */
 struct SimStats
 {
     std::uint64_t cycles = 0;
     std::uint64_t instructions = 0;
 
     std::uint64_t loads = 0;
-    std::uint64_t eligibleLoads = 0; ///< predictable (non-exclusive)
+    std::uint64_t eligibleLoads = 0;
     std::uint64_t stores = 0;
     std::uint64_t branches = 0;
     std::uint64_t branchMispredicts = 0;
 
-    /// Value prediction activity (committed-path only).
-    std::uint64_t predictionsMade = 0;    ///< probe returned non-None
-    std::uint64_t predictionsUsed = 0;    ///< value reached consumers
+    std::uint64_t predictionsMade = 0;
+    std::uint64_t predictionsUsed = 0;
     std::uint64_t predictionsCorrect = 0;
-    std::uint64_t predictionsWrong = 0;   ///< each costs a flush
+    std::uint64_t predictionsWrong = 0;
     std::uint64_t paqProbes = 0;
-    std::uint64_t paqMisses = 0;          ///< dropped: D-cache miss
-    std::uint64_t paqDropsFull = 0;       ///< dropped: PAQ full
-    std::uint64_t paqConflictDrops = 0;   ///< dropped: older store
+    std::uint64_t paqMisses = 0;
+    std::uint64_t paqDropsFull = 0;
+    std::uint64_t paqConflictDrops = 0;
 
-    /// Used predictions per component (index = ComponentId).
-    std::array<std::uint64_t, 5> usedByComponent{};
-    std::array<std::uint64_t, 5> wrongByComponent{};
+    /// Index = ComponentId.
+    std::array<std::uint64_t, kComponentSlots> usedByComponent{};
+    std::array<std::uint64_t, kComponentSlots> wrongByComponent{};
 
     std::uint64_t vpFlushes = 0;
     std::uint64_t memOrderFlushes = 0;
     std::uint64_t squashedOps = 0;
 
-    /// High-water marks of the bounded hot-path maps (see
-    /// docs/performance.md): the core's squashed-prediction stash
-    /// and the predictor's pending per-token snapshots. Both must
-    /// stay within the in-flight window; the peaks make the margin
-    /// observable in results JSON.
+    /// High-water marks, not event counts.
     std::uint64_t refetchStashPeak = 0;
     std::uint64_t vpSnapshotsPeak = 0;
 
@@ -83,25 +88,73 @@ struct SimStats
                    : 1.0;
     }
 
-    /** Every counter (forEachCounter order), then ipc, coverage
-     *  and accuracy, one aligned row each. */
+    /** Every counter, then every derived metric, one aligned row
+     *  each. */
     void dump(std::ostream &os) const;
 
     bool operator==(const SimStats &) const = default;
 };
 
 /**
- * Visit every raw counter of `s` as a (name, value) pair, in a fixed
- * declaration order. The single source of truth for serializing a
- * SimStats (the JSON results layer iterates this instead of keeping
- * its own field list); array counters appear as
- * `used_by_component_<i>` / `wrong_by_component_<i>`.
+ * One raw counter of SimStats: its name in results JSON and in
+ * snapshots, its unit and a one-line meaning. The "Stats object"
+ * table of docs/results_schema.md is generated from counters() and
+ * kDerivedMetrics (tests/test_results_json.cc), so a counter
+ * is documented where it is registered.
  */
+struct CounterInfo
+{
+    std::string name;
+    std::string_view unit;
+    std::string meaning;
+    /// A scalar member, or element `component` of a per-component
+    /// array (exactly one of the two pointers is set).
+    std::uint64_t SimStats::*scalar = nullptr;
+    std::array<std::uint64_t, kComponentSlots> SimStats::*perComponent =
+        nullptr;
+    std::size_t component = 0;
+
+    std::uint64_t &
+    value(SimStats &s) const
+    {
+        return scalar ? s.*scalar : (s.*perComponent)[component];
+    }
+    std::uint64_t
+    value(const SimStats &s) const
+    {
+        return scalar ? s.*scalar : (s.*perComponent)[component];
+    }
+};
+
+/**
+ * Every raw counter in its fixed order: the scalars, then the
+ * per-component counters, one per kComponentSlots index. The only
+ * list of counter names; serialization (results JSON, snapshots,
+ * sampled extrapolation) iterates it instead of keeping its own.
+ */
+const std::vector<CounterInfo> &counters();
+
+/** A metric recomputed from the counters. Written after them, never
+ *  read back. */
+struct DerivedMetric
+{
+    std::string_view name;
+    std::string_view unit;
+    std::string_view meaning;
+    double (SimStats::*value)() const;
+};
+
+/** The derived metrics, in the order dump() and results JSON write
+ *  them. */
+extern const std::array<DerivedMetric, 3> kDerivedMetrics;
+
+/** Visit every raw counter of `s` as a (name, value) pair, in
+ *  counters() order. */
 void forEachCounter(
     const SimStats &s,
     const std::function<void(std::string_view, std::uint64_t)> &fn);
 
-/** Set one counter by its forEachCounter() name. False if unknown. */
+/** Set one counter by its counters() name. False if unknown. */
 bool setCounter(SimStats &s, std::string_view name, std::uint64_t v);
 
 } // namespace pipe

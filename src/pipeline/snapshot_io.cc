@@ -1,5 +1,6 @@
 #include "pipeline/snapshot_io.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -43,13 +44,11 @@ template <class Sink>
 void
 writeStats(Sink &w, const SimStats &s)
 {
-    std::uint32_t n = 0;
-    forEachCounter(s, [&](std::string_view, std::uint64_t) { ++n; });
-    w.u32(n);
-    forEachCounter(s, [&](std::string_view name, std::uint64_t v) {
-        w.u64(fnv1a64(name.data(), name.size()));
-        w.u64(v);
-    });
+    w.u32(std::uint32_t(counters().size()));
+    for (const CounterInfo &c : counters()) {
+        w.u64(fnv1a64(c.name.data(), c.name.size()));
+        w.u64(c.value(s));
+    }
 }
 
 /**
@@ -655,18 +654,16 @@ serializeSnapshot(BinWriter &w, const SimStats &s)
 void
 deserializeSnapshot(BinReader &r, SimStats &s)
 {
-    // Hash -> name, from the *current* counter set: a stream written
-    // by a binary with different counters fails to match and reads
-    // as corrupt (i.e. a store miss), which is exactly the contract.
-    std::vector<std::pair<std::uint64_t, std::string>> names;
-    forEachCounter(SimStats{},
-                   [&](std::string_view name, std::uint64_t) {
-                       names.emplace_back(
-                           fnv1a64(name.data(), name.size()),
-                           std::string(name));
-                   });
+    // Hash -> counter, from the *current* counter set: a stream
+    // written by a binary with different counters fails to match and
+    // reads as corrupt (i.e. a store miss), which is exactly the
+    // contract.
+    const std::vector<CounterInfo> &cs = counters();
+    std::vector<std::uint64_t> hashes;
+    for (const CounterInfo &c : cs)
+        hashes.push_back(fnv1a64(c.name.data(), c.name.size()));
     const std::uint32_t n = r.u32();
-    if (!r.ok() || n != names.size()) {
+    if (!r.ok() || n != cs.size()) {
         r.fail();
         return;
     }
@@ -676,17 +673,12 @@ deserializeSnapshot(BinReader &r, SimStats &s)
         const std::uint64_t v = r.u64();
         if (!r.ok())
             return;
-        const std::string *name = nullptr;
-        for (const auto &[hash, counter] : names) {
-            if (hash == h) {
-                name = &counter;
-                break;
-            }
-        }
-        if (name == nullptr || !setCounter(s, *name, v)) {
+        const auto at = std::find(hashes.begin(), hashes.end(), h);
+        if (at == hashes.end()) {
             r.fail();
             return;
         }
+        cs[std::size_t(at - hashes.begin())].value(s) = v;
     }
 }
 

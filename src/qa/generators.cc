@@ -143,8 +143,8 @@ nextAddr(Gen &g, PcPlan &p)
     switch (p.addrMode) {
       case 0: return p.baseAddr;
       case 1:
-        return Addr(std::int64_t(p.baseAddr) +
-                    std::int64_t(p.occurrences) * p.stride) &
+        // Unsigned, so the stride wraps instead of overflowing.
+        return (p.baseAddr + p.occurrences * Addr(p.stride)) &
                ~Addr(p.memSize - 1);
       case 2:
         return (p.baseAddr + g.below(0x40000) * p.memSize) &
@@ -161,8 +161,7 @@ nextValue(Gen &g, PcPlan &p)
     switch (p.valueMode) {
       case 0: return p.baseValue;
       case 1:
-        return Value(std::int64_t(p.baseValue) +
-                     std::int64_t(p.occurrences) * p.valueStride);
+        return p.baseValue + p.occurrences * Value(p.valueStride);
       case 2: return g.interestingValue();
       default: return p.baseValue + (p.occurrences % p.period);
     }

@@ -31,6 +31,19 @@ JsonValue::set(std::string key, JsonValue v)
     return obj.back().second;
 }
 
+bool
+JsonValue::getU64(std::uint64_t &out) const
+{
+    // 2^64 is exact as a double; NaN fails the range test.
+    const bool fits =
+        kind_ == Kind::Int ||
+        (kind_ == Kind::Double && dblVal >= 0.0 && dblVal < 0x1p64 &&
+         std::trunc(dblVal) == dblVal);
+    if (fits)
+        out = kind_ == Kind::Int ? intVal : std::uint64_t(dblVal);
+    return fits;
+}
+
 const JsonValue *
 JsonValue::find(std::string_view key) const
 {

@@ -58,10 +58,17 @@ class JsonValue
     bool isObject() const { return kind_ == Kind::Object; }
 
     bool asBool() const { return boolVal; }
+    /** The number as a count; 0 when getU64() would fail. */
     std::uint64_t asU64() const
     {
-        return kind_ == Kind::Int ? intVal : std::uint64_t(dblVal);
+        std::uint64_t v = 0;
+        return getU64(v) ? v : 0;
     }
+    /** True, with `out` set, when this is a non-negative integral
+     *  number that fits a uint64. Negative, fractional, too large and
+     *  non-number values give false: readers of count fields reject
+     *  them instead of converting them. */
+    bool getU64(std::uint64_t &out) const;
     double asDouble() const
     {
         return kind_ == Kind::Double ? dblVal : double(intVal);

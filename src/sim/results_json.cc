@@ -3,6 +3,7 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 namespace lvpsim
 {
@@ -20,6 +21,16 @@ numberOr(const JsonValue *v, double fallback)
     return v && v->isNumber() ? v->asDouble() : fallback;
 }
 
+/** Reads the optional count `key` of `obj` into `out` (left alone
+ *  when absent). False when present but not a non-negative
+ *  integer. */
+bool
+readCount(const JsonValue &obj, std::string_view key, std::uint64_t &out)
+{
+    const JsonValue *v = obj.find(key);
+    return !v || v->getU64(out);
+}
+
 /**
  * Derived metrics can be NaN or infinite (empty suite, zero-IPC or
  * zero-instruction row). JSON has no encoding for those, so clamp
@@ -31,21 +42,149 @@ finiteOrNull(double x)
     return std::isfinite(x) ? JsonValue(x) : JsonValue();
 }
 
+using W = WorkloadResult;
+
+// A stored workload-row field's JSON type name, writer and reader, by
+// member type.
+template <class T>
+constexpr std::string_view kJsonType = "object";
+template <>
+constexpr std::string_view kJsonType<std::string> = "string";
+template <>
+constexpr std::string_view kJsonType<std::uint64_t> = "int";
+template <>
+constexpr std::string_view kJsonType<double> = "float";
+template <>
+constexpr std::string_view kJsonType<bool> = "bool";
+
+JsonValue jsonOf(const std::string &s) { return JsonValue(s); }
+JsonValue jsonOf(std::uint64_t v) { return JsonValue(v); }
+JsonValue jsonOf(double v) { return finiteOrNull(v); }
+JsonValue jsonOf(bool b) { return JsonValue(b); }
+JsonValue jsonOf(const pipe::SimStats &s) { return toJson(s); }
+
+/** False when `v` does not hold a T. A float may be null, which
+ *  stands for a value JSON cannot hold and reads as 0. */
+template <class T>
+bool
+readInto(const JsonValue &v, T &out)
+{
+    if constexpr (std::is_same_v<T, std::uint64_t>) {
+        return v.getU64(out);
+    } else if constexpr (std::is_same_v<T, pipe::SimStats>) {
+        return simStatsFromJson(v, out);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        if (v.isString())
+            out = v.asString();
+        return v.isString();
+    } else if constexpr (std::is_same_v<T, bool>) {
+        if (v.kind() == JsonValue::Kind::Bool)
+            out = v.asBool();
+        return v.kind() == JsonValue::Kind::Bool;
+    } else {
+        out = numberOr(&v, 0.0);
+        return v.isNumber() || v.isNull();
+    }
+}
+
+/** A stored field. An absent optional field keeps the struct
+ *  default, which is how files written before it existed read. */
+template <auto M, bool Required = false>
+constexpr RowField
+field(std::string_view name, std::string_view meaning)
+{
+    using T = std::remove_cvref_t<decltype(W{}.*M)>;
+    return {name, kJsonType<T>, meaning,
+            [](const W &r) { return jsonOf(r.*M); },
+            [](const JsonValue *v, W &r) {
+                return v ? readInto(*v, r.*M) : !Required;
+            }};
+}
+
+/** A metric recomputed from the stats: written, never read back. */
+template <double (W::*F)() const>
+constexpr RowField
+derived(std::string_view name, std::string_view meaning)
+{
+    return {name, "float", meaning,
+            [](const W &r) { return finiteOrNull((r.*F)()); }, nullptr};
+}
+
+constexpr RowField kRowFields[] = {
+    field<&W::workload, true>(
+        "workload",
+        "trace spec: a kernel name (see `docs/workloads.md`), or "
+        "`lvpt:<path>` / `cvp:<path>` for file-backed traces (see "
+        "`docs/traces.md`)"),
+    field<&W::traceFormat>(
+        "trace_format",
+        "trace backend that produced the stream: `\"synthetic\"`, "
+        "`\"lvpt\"`, or `\"cvp\"`"),
+    field<&W::traceInstructions>(
+        "trace_instructions",
+        "instructions in the (possibly truncated) trace actually "
+        "simulated, warmup included"),
+    field<&W::storageBits>("storage_bits",
+                           "storage of this row's predictor instance"),
+    derived<&W::speedup>("speedup", "`withVp.ipc / base.ipc - 1`"),
+    derived<&W::coverage>(
+        "coverage", "fraction of eligible loads with a used prediction"),
+    derived<&W::accuracy>(
+        "accuracy", "fraction of used predictions that were correct"),
+    field<&W::base, true>("base",
+                          "full `SimStats` of the no-VP baseline run"),
+    field<&W::withVp, true>(
+        "with_vp", "full `SimStats` of the with-predictor run"),
+    field<&W::sampled>(
+        "sampled",
+        "`true` when this row's stats were extrapolated from "
+        "representative intervals (`docs/sampling.md`); `false` for a "
+        "full simulation"),
+    field<&W::sampleError>(
+        "sample_error",
+        "confidence bound of the sampled extrapolation (max of the "
+        "relative 95% CI on IPC and the absolute 95% CI on accuracy, "
+        "plus a fixed modeling floor); 0 for full runs"),
+    field<&W::sampleK>(
+        "sample_k",
+        "representative intervals actually simulated (k-means may "
+        "merge clusters below the requested `--sample` k); 0 for full "
+        "runs"),
+    field<&W::intervalLength>(
+        "interval_length",
+        "interval length the sampled row used; 0 for full runs"),
+    field<&W::baseSeconds>(
+        "base_seconds", "baseline simulation wall clock — *timing field*"),
+    field<&W::vpSeconds>(
+        "vp_seconds", "with-VP simulation wall clock — *timing field*"),
+    field<&W::checkpointSeconds>(
+        "checkpoint_seconds",
+        "one-time checkpoint build cost for this (workload, config) key "
+        "— *timing field*. Warmup rows report the post-warmup "
+        "checkpoint; sampled rows report the build of the plan's "
+        "interval-checkpoint list; 0 when warmup and sampling are both "
+        "off, or when the checkpoint was served from the disk store. "
+        "Reported on every row of every suite run that shares the "
+        "checkpoint; it is **not** additive across rows"),
+};
+
 } // anonymous namespace
+
+std::span<const RowField>
+workloadRowFields()
+{
+    return kRowFields;
+}
 
 JsonValue
 toJson(const pipe::SimStats &s)
 {
     JsonValue o = JsonValue::object();
-    pipe::forEachCounter(
-        s, [&](std::string_view name, std::uint64_t v) {
-            o.set(std::string(name), JsonValue(v));
-        });
-    // Derived metrics, for human readers and plotting scripts;
-    // ignored on re-parse (recomputable from the counters above).
-    o.set("ipc", finiteOrNull(s.ipc()));
-    o.set("coverage", finiteOrNull(s.coverage()));
-    o.set("accuracy", finiteOrNull(s.accuracy()));
+    for (const pipe::CounterInfo &c : pipe::counters())
+        o.set(c.name, JsonValue(c.value(s)));
+    // For human readers and plotting scripts; ignored on re-parse.
+    for (const pipe::DerivedMetric &d : pipe::kDerivedMetrics)
+        o.set(std::string(d.name), finiteOrNull((s.*d.value)()));
     return o;
 }
 
@@ -55,12 +194,10 @@ simStatsFromJson(const JsonValue &v, pipe::SimStats &out)
     if (!v.isObject())
         return false;
     out = pipe::SimStats{};
-    for (const auto &[key, val] : v.members()) {
-        if (!val.isNumber())
-            continue;
-        // Unknown keys (ipc/coverage/accuracy, future additions) are
-        // skipped; setCounter handles every raw counter.
-        (void)pipe::setCounter(out, key, val.asU64());
+    for (const pipe::CounterInfo &c : pipe::counters()) {
+        const JsonValue *x = v.find(c.name);
+        if (x && !x->getU64(c.value(out)))
+            return false;
     }
     return true;
 }
@@ -69,22 +206,8 @@ JsonValue
 toJson(const WorkloadResult &r)
 {
     JsonValue o = JsonValue::object();
-    o.set("workload", JsonValue(r.workload));
-    o.set("trace_format", JsonValue(r.traceFormat));
-    o.set("trace_instructions", JsonValue(r.traceInstructions));
-    o.set("storage_bits", JsonValue(r.storageBits));
-    o.set("speedup", finiteOrNull(r.speedup()));
-    o.set("coverage", finiteOrNull(r.coverage()));
-    o.set("accuracy", finiteOrNull(r.accuracy()));
-    o.set("base", toJson(r.base));
-    o.set("with_vp", toJson(r.withVp));
-    o.set("sampled", JsonValue(r.sampled));
-    o.set("sample_error", finiteOrNull(r.sampleError));
-    o.set("sample_k", JsonValue(r.sampleK));
-    o.set("interval_length", JsonValue(r.intervalLength));
-    o.set("base_seconds", JsonValue(r.baseSeconds));
-    o.set("vp_seconds", JsonValue(r.vpSeconds));
-    o.set("checkpoint_seconds", JsonValue(r.checkpointSeconds));
+    for (const RowField &f : kRowFields)
+        o.set(std::string(f.name), f.get(r));
     return o;
 }
 
@@ -94,37 +217,9 @@ workloadResultFromJson(const JsonValue &v, WorkloadResult &out)
     if (!v.isObject())
         return false;
     out = WorkloadResult{};
-    const JsonValue *name = v.find("workload");
-    if (!name || !name->isString())
-        return false;
-    out.workload = name->asString();
-    // Pre-TraceSource files lack the trace metadata; keep the struct
-    // defaults ("synthetic", 0) for those.
-    if (const JsonValue *tf = v.find("trace_format"))
-        if (tf->isString())
-            out.traceFormat = tf->asString();
-    out.traceInstructions = std::uint64_t(
-        numberOr(v.find("trace_instructions"), 0.0));
-    if (const JsonValue *sb = v.find("storage_bits"))
-        out.storageBits = sb->asU64();
-    const JsonValue *base = v.find("base");
-    const JsonValue *with = v.find("with_vp");
-    if (!base || !with || !simStatsFromJson(*base, out.base) ||
-        !simStatsFromJson(*with, out.withVp))
-        return false;
-    // Pre-sampling files lack the sampled block; keep the defaults
-    // (full run) for those.
-    if (const JsonValue *sm = v.find("sampled"))
-        out.sampled = sm->asBool();
-    out.sampleError = numberOr(v.find("sample_error"), 0.0);
-    out.sampleK =
-        std::uint64_t(numberOr(v.find("sample_k"), 0.0));
-    out.intervalLength =
-        std::uint64_t(numberOr(v.find("interval_length"), 0.0));
-    out.baseSeconds = numberOr(v.find("base_seconds"), 0.0);
-    out.vpSeconds = numberOr(v.find("vp_seconds"), 0.0);
-    out.checkpointSeconds =
-        numberOr(v.find("checkpoint_seconds"), 0.0);
+    for (const RowField &f : kRowFields)
+        if (f.read && !f.read(v.find(f.name), out))
+            return false;
     return true;
 }
 
@@ -156,8 +251,8 @@ suiteResultFromJson(const JsonValue &v, SuiteResult &out)
     if (!label || !label->isString())
         return false;
     out.label = label->asString();
-    if (const JsonValue *sb = v.find("storage_bits"))
-        out.storageBits = sb->asU64();
+    if (!readCount(v, "storage_bits", out.storageBits))
+        return false;
     const JsonValue *rows = v.find("workloads");
     if (!rows || !rows->isArray())
         return false;
@@ -205,36 +300,28 @@ resultsFromJson(const JsonValue &v, std::vector<SuiteResult> &suites,
     if (!v.isObject())
         return false;
     const JsonValue *ver = v.find("schema_version");
-    if (!ver || !ver->isNumber() || ver->asU64() != kSchemaVersion)
+    std::uint64_t version = 0;
+    if (!ver || !ver->getU64(version) || version != kSchemaVersion)
         return false;
-    if (meta) {
-        *meta = ReportMeta{};
-        if (const JsonValue *m = v.find("meta")) {
-            meta->jobs =
-                std::size_t(numberOr(m->find("jobs"), 1.0));
-            meta->maxInstrs =
-                std::size_t(numberOr(m->find("instructions"), 0.0));
-            meta->warmupInstrs = std::size_t(
-                numberOr(m->find("warmup_instructions"), 0.0));
-            meta->traceSeed =
-                std::uint64_t(numberOr(m->find("trace_seed"), 0.0));
-            meta->sampleK =
-                std::size_t(numberOr(m->find("sample_k"), 0.0));
-            meta->intervalLen = std::size_t(
-                numberOr(m->find("interval_length"), 0.0));
-            meta->progressInstrs = std::uint64_t(
-                numberOr(m->find("progress_instructions"), 0.0));
-            if (const JsonValue *s = m->find("suite"))
-                if (s->isString())
-                    meta->suite = s->asString();
-            meta->storeHits =
-                std::uint64_t(numberOr(m->find("store_hits"), 0.0));
-            meta->storeMisses =
-                std::uint64_t(numberOr(m->find("store_misses"), 0.0));
-            meta->storeSeconds =
-                numberOr(m->find("store_seconds"), 0.0);
-        }
+    ReportMeta rm;
+    if (const JsonValue *m = v.find("meta")) {
+        if (!readCount(*m, "jobs", rm.jobs) ||
+            !readCount(*m, "instructions", rm.maxInstrs) ||
+            !readCount(*m, "warmup_instructions", rm.warmupInstrs) ||
+            !readCount(*m, "trace_seed", rm.traceSeed) ||
+            !readCount(*m, "sample_k", rm.sampleK) ||
+            !readCount(*m, "interval_length", rm.intervalLen) ||
+            !readCount(*m, "progress_instructions", rm.progressInstrs) ||
+            !readCount(*m, "store_hits", rm.storeHits) ||
+            !readCount(*m, "store_misses", rm.storeMisses))
+            return false;
+        if (const JsonValue *s = m->find("suite"))
+            if (s->isString())
+                rm.suite = s->asString();
+        rm.storeSeconds = numberOr(m->find("store_seconds"), 0.0);
     }
+    if (meta)
+        *meta = rm;
     const JsonValue *arr = v.find("suites");
     if (!arr || !arr->isArray())
         return false;

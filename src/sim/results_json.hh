@@ -13,7 +13,9 @@
 
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pipeline/sim_stats.hh"
@@ -49,9 +51,31 @@ struct ReportMeta
 };
 
 JsonValue toJson(const pipe::SimStats &s);
-/** Restore raw counters from toJson() output; derived keys (ipc,
- *  coverage, accuracy) are ignored. False on a non-object. */
+/** Restore raw counters from toJson() output; derived and unknown
+ *  keys are ignored. False on a non-object or on a counter that is
+ *  not a non-negative integer. */
 bool simStatsFromJson(const JsonValue &v, pipe::SimStats &out);
+
+/**
+ * One field of a workload row. toJson(const WorkloadResult &) writes
+ * the fields in workloadRowFields() order and workloadResultFromJson()
+ * reads them back through the same list; the "Workload row" table of
+ * docs/results_schema.md is generated from it
+ * (tests/test_results_json.cc).
+ */
+struct RowField
+{
+    std::string_view name;
+    std::string_view type; ///< JSON type: string, int, float, bool, object
+    std::string_view meaning;
+    JsonValue (*get)(const WorkloadResult &);
+    /// Stores the field's value (nullptr when absent) into the row;
+    /// false rejects the document. Null for derived fields, which the
+    /// reader ignores.
+    bool (*read)(const JsonValue *, WorkloadResult &);
+};
+
+std::span<const RowField> workloadRowFields();
 
 JsonValue toJson(const WorkloadResult &r);
 bool workloadResultFromJson(const JsonValue &v, WorkloadResult &out);

@@ -243,13 +243,9 @@ runSampledWorkload(const std::string &workload,
     // Fixed iteration order (ascending interval index) so a shared
     // predictor instance sees the same training sequence on every
     // run, regardless of thread count.
-    std::vector<std::string> names;
-    pipe::forEachCounter(pipe::SimStats{},
-                         [&](std::string_view n, std::uint64_t) {
-                             names.emplace_back(n);
-                         });
-    std::vector<double> acc(names.size(), 0.0);
-    std::vector<std::uint64_t> peak(names.size(), 0);
+    const std::vector<pipe::CounterInfo> &counters = pipe::counters();
+    std::vector<double> acc(counters.size(), 0.0);
+    std::vector<std::uint64_t> peak(counters.size(), 0);
     std::vector<double> repIpc, repAcc, repFrac;
 
     // Functional VP training streams every fast-forwarded load
@@ -308,13 +304,11 @@ runSampledWorkload(const std::string &workload,
                 ? double(rep.weightInstructions) /
                       double(st.instructions)
                 : 0.0;
-        std::size_t d = 0;
-        pipe::forEachCounter(
-            st, [&](std::string_view, std::uint64_t v) {
-                acc[d] += scale * double(v);
-                peak[d] = std::max(peak[d], v);
-                ++d;
-            });
+        for (std::size_t d = 0; d < counters.size(); ++d) {
+            const std::uint64_t v = counters[d].value(st);
+            acc[d] += scale * double(v);
+            peak[d] = std::max(peak[d], v);
+        }
 
         repIpc.push_back(st.ipc());
         repAcc.push_back(st.accuracy());
@@ -322,15 +316,11 @@ runSampledWorkload(const std::string &workload,
                           double(N));
     }
 
-    using std::string_view;
-    for (std::size_t d = 0; d < names.size(); ++d) {
-        const string_view n = names[d];
-        const std::uint64_t v =
-            n.size() >= 5 && n.substr(n.size() - 5) == "_peak"
+    for (std::size_t d = 0; d < counters.size(); ++d)
+        counters[d].value(out.stats) =
+            counters[d].name.ends_with("_peak")
                 ? peak[d]
                 : std::uint64_t(std::llround(acc[d]));
-        pipe::setCounter(out.stats, n, v);
-    }
 
     // ---- Confidence bound ----------------------------------------
     // Weighted across-representative spread with Bessel's correction

@@ -1,13 +1,16 @@
 /**
  * @file
  * The structured results layer: the minimal JSON document model
- * (parse/dump), SimStats serialization via forEachCounter, and the
- * SuiteResult file round-trip against docs/results_schema.md.
+ * (parse/dump), SimStats serialization via pipe::counters(), the
+ * SuiteResult file round-trip, and docs/results_schema.md, whose
+ * "Stats object" and "Workload row" tables are generated from the
+ * counter and row-field lists (ResultsSchemaDoc.TablesMatchTheCode).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -101,11 +104,8 @@ fabricatedStats(std::uint64_t salt)
     // Give every counter a distinct value so a swapped or dropped
     // field cannot cancel out.
     pipe::SimStats s;
-    std::uint64_t v = salt;
-    pipe::forEachCounter(
-        s, [&](std::string_view name, std::uint64_t) {
-            EXPECT_TRUE(pipe::setCounter(s, name, ++v)) << name;
-        });
+    for (const pipe::CounterInfo &c : pipe::counters())
+        c.value(s) = ++salt;
     return s;
 }
 
@@ -191,9 +191,8 @@ TEST(ResultsJson, SuiteResultFileRoundTrip)
 
 TEST(ResultsJson, DocumentMatchesDocumentedSchema)
 {
-    // Every field documented in docs/results_schema.md must be
-    // present in a real emitted document (and nothing required may
-    // go missing without the doc being updated).
+    // A real emitted document carries the documented top-level,
+    // meta and suite fields (those tables are hand-written).
     sim::SuiteRunner runner({"memset_loop"},
                             sim::RunConfig{.maxInstrs = 5000}, 2);
     const auto res = runner.run("composite", [] {
@@ -223,24 +222,48 @@ TEST(ResultsJson, DocumentMatchesDocumentedSchema)
           "mean_coverage", "mean_accuracy", "workloads",
           "wall_seconds"})
         EXPECT_TRUE(s.find(k)) << k;
+    // The workload row and stats object are written by walking
+    // sim::workloadRowFields() and pipe::counters(), whose doc tables
+    // ResultsSchemaDoc.TablesMatchTheCode pins.
+}
 
-    const JsonValue &row = s.find("workloads")->items()[0];
-    for (const char *k :
-         {"workload", "storage_bits", "speedup", "coverage",
-          "accuracy", "base", "with_vp", "base_seconds",
-          "vp_seconds"})
-        EXPECT_TRUE(row.find(k)) << k;
+TEST(ResultsJson, CountFieldsFailClosed)
+{
+    // Negative, fractional, out-of-range and non-number values in a
+    // count field reject the document; none is converted.
+    sim::SuiteResult suite;
+    suite.label = "s";
+    suite.storageBits = 11;
+    suite.rows.emplace_back();
+    suite.rows.back().workload = "w";
+    suite.rows.back().storageBits = 22;
+    sim::ReportMeta meta;
+    meta.jobs = 3;
+    const std::string good = sim::resultsToJson({suite}, meta).dump(2);
+    const auto accepted = [&](const std::string &key,
+                              const std::string &value) {
+        std::string text = good;
+        const std::size_t at = text.find(key);
+        EXPECT_NE(at, std::string::npos) << key;
+        text.replace(at, key.size(), key.substr(0, key.find(':') + 2) +
+                                         value);
+        const JsonValue doc = sim::parseJson(text);
+        std::vector<sim::SuiteResult> suites;
+        sim::ReportMeta m;
+        return sim::resultsFromJson(doc, suites, &m);
+    };
 
-    // Stats objects carry every raw counter under its documented
-    // name, plus the three derived conveniences.
-    const JsonValue *base = row.find("base");
-    pipe::SimStats probe;
-    pipe::forEachCounter(
-        probe, [&](std::string_view name, std::uint64_t) {
-            EXPECT_TRUE(base->find(name)) << name;
-        });
-    for (const char *k : {"ipc", "coverage", "accuracy"})
-        EXPECT_TRUE(base->find(k)) << k;
+    // The meta jobs count, the schema version, the suite's and the
+    // row's storage bits, and a counter of the row's base stats, each
+    // with a value the document accepts in its place.
+    for (const auto &[key, valid] :
+         {std::pair{"\"jobs\": 3", "7"}, {"\"schema_version\": 1", "1"},
+          {"\"storage_bits\": 11", "7"}, {"\"storage_bits\": 22", "7"},
+          {"\"cycles\": 0", "7"}}) {
+        EXPECT_TRUE(accepted(key, valid)) << key;
+        for (const char *bad : {"-1", "1e30", "2.5", "\"x\""})
+            EXPECT_FALSE(accepted(key, bad)) << key << " = " << bad;
+    }
 }
 
 TEST(ResultsJson, EmptySuiteSerializesToValidJson)
@@ -292,4 +315,79 @@ TEST(ResultsJson, DegenerateRowEmitsNullNotNanOrInf)
     std::string err;
     sim::parseJson(text, &err);
     EXPECT_TRUE(err.empty()) << err;
+}
+
+namespace
+{
+
+/** One Markdown table row per entry of `list`. */
+template <class List, class Cells>
+std::string
+rows(const List &list, Cells cells)
+{
+    std::string t;
+    for (const auto &e : list)
+        t += "| `" + std::string(e.name) + "` | " + cells(e) + " |\n";
+    return t;
+}
+
+/** Replaces what lies between `block`'s markers in `doc`. False when
+ *  a marker is missing. */
+bool
+regenerate(std::string &doc, const std::string &block,
+           const std::string &body)
+{
+    const std::string begin = "<!-- BEGIN GENERATED " + block + " -->\n";
+    const std::size_t from = doc.find(begin);
+    const std::size_t to =
+        doc.find("<!-- END GENERATED " + block + " -->", from);
+    if (from == std::string::npos || to == std::string::npos)
+        return false;
+    doc.replace(from + begin.size(), to - from - begin.size(), body);
+    return true;
+}
+
+} // anonymous namespace
+
+TEST(ResultsSchemaDoc, TablesMatchTheCode)
+{
+    const std::string path =
+        std::string(LVPSIM_DOCS_DIR) + "/results_schema.md";
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "cannot read " << path;
+    std::ostringstream committed;
+    committed << in.rdbuf();
+
+    const std::string stats =
+        "| field | unit | meaning |\n|---|---|---|\n" +
+        rows(pipe::counters(),
+             [](auto &c) {
+                 return std::string(c.unit) + " | " + c.meaning;
+             }) +
+        rows(pipe::kDerivedMetrics, [](auto &d) {
+            return std::string(d.unit) + " | derived: " +
+                   std::string(d.meaning);
+        });
+    const std::string row =
+        "| field | type | meaning |\n|---|---|---|\n" +
+        rows(sim::workloadRowFields(), [](auto &f) {
+            return std::string(f.type) + " | " +
+                   (f.read ? "" : "derived: ") + std::string(f.meaning);
+        });
+
+    std::string generated = committed.str();
+    ASSERT_TRUE(regenerate(generated, "stats", stats) &&
+                regenerate(generated, "workload-row", row))
+        << path << " lost a BEGIN/END GENERATED marker";
+    if (generated == committed.str())
+        return;
+    const auto actual =
+        std::filesystem::current_path() / "results_schema.actual.md";
+    std::ofstream(actual) << generated;
+    ADD_FAILURE() << path
+                  << " differs from the tables generated from "
+                     "pipe::counters(), pipe::kDerivedMetrics and "
+                     "sim::workloadRowFields(). Edit those lists, not "
+                     "the tables, then update the doc with:\n  cp "
+                  << actual.string() << " " << path;
 }

@@ -4,10 +4,9 @@
 The simulator's value rests on properties the C++ compiler cannot
 check: bit-identical results across runs and ``--jobs N`` (the
 determinism gate), zero steady-state allocations in the cycle loop
-(the throughput work in docs/performance.md), and a stats schema that
-stays in sync between ``pipe::SimStats`` and
-``docs/results_schema.md``.  lvplint turns those invariants into a
-static gate that runs in milliseconds, with no network access and no
+(the throughput work in docs/performance.md), and Table III constants
+that match DESIGN.md.  lvplint turns those invariants into a static
+gate that runs in milliseconds, with no network access and no
 libclang dependency — plain lexical analysis over the tree.
 
 Checks (see docs/static_analysis.md for the rationale of each):
@@ -19,13 +18,6 @@ Checks (see docs/static_analysis.md for the rationale of each):
   hotpath-alloc   node-based containers (std::deque/list/map/
                   unordered_*) in src/pipeline/ and src/core/; the
                   hot path must use ring_buffer.hh / flat_map.hh.
-  stats-schema    every counter registered in
-                  src/pipeline/sim_stats.cc documented in
-                  docs/results_schema.md, and vice versa; likewise
-                  every per-workload JSON field written by
-                  src/sim/results_json.cc against the schema doc's
-                  "## Workload row" table (trace_format,
-                  trace_instructions, ...).
   config-sync     the Table III constants in
                   src/pipeline/core_config.hh match every statement
                   of them in DESIGN.md.
@@ -423,243 +415,7 @@ class HotPathAllocCheck(Check):
 
 
 # ---------------------------------------------------------------------------
-# Check 3: stats-schema sync
-
-
-@register
-class StatsSchemaCheck(Check):
-    """docs/results_schema.md documents every counter that
-    pipe::forEachCounter enumerates (visitScalars registrations plus
-    the componentCounterName-prefixed arrays), and documents nothing
-    that does not exist.  Also cross-checks the per-workload JSON row:
-    every field the writer emits (``o.set("...")`` in
-    ``toJson(const WorkloadResult &)``) must appear in the schema
-    doc's "## Workload row" table, and vice versa.  Keeps the JSON
-    results contract honest."""
-
-    check_id = "stats-schema"
-    description = (
-        "counter registrations in src/pipeline/sim_stats.cc and the "
-        "per-workload JSON fields of src/sim/results_json.cc match "
-        "docs/results_schema.md in both directions"
-    )
-
-    STATS_CC = "src/pipeline/sim_stats.cc"
-    RESULTS_CC = "src/sim/results_json.cc"
-    SCHEMA_MD = "docs/results_schema.md"
-    # Recomputable from the raw counters; documented but never
-    # registered (see the schema doc's "derived" paragraph).
-    DERIVED = ("ipc", "coverage", "accuracy")
-
-    REG_RE = re.compile(r'\bfn\(\s*"([a-z0-9_]+)"')
-    PREFIX_RE = re.compile(r'componentCounterName\(\s*"([a-z0-9_]+_)"')
-    KEY_RE = re.compile(r'^\s*"([a-z0-9_]+)"\s*:', re.M)
-    ROW_SET_RE = re.compile(r'o\.set\(\s*"([a-z0-9_]+)"')
-    ROW_FIELD_RE = re.compile(r"^\|\s*`([a-z0-9_]+)`\s*\|", re.M)
-
-    def run(self, tree: Tree) -> Iterator[Finding]:
-        yield from self.counters_check(tree)
-        yield from self.workload_row_check(tree)
-
-    def counters_check(self, tree: Tree) -> Iterator[Finding]:
-        cc = tree.read(self.STATS_CC)
-        md = tree.read(self.SCHEMA_MD)
-        if cc is None or md is None:
-            # Cross-file checks are inert in trees that lack their
-            # subjects (the seeded fixtures under tests/lint_fixtures
-            # rely on this; the real repo always has both files).
-            return
-        cc_code = strip_comments_and_strings(cc)  # only for line lookup
-        registered = self.REG_RE.findall(cc)
-        prefixes = set(self.PREFIX_RE.findall(cc))
-
-        block = self.stats_object_block(md)
-        if block is None:
-            yield Finding(
-                self.SCHEMA_MD, 0, self.check_id,
-                'no ```json block under a "## Stats object" heading; '
-                "cannot cross-check counters",
-            )
-            return
-        block_text, block_line = block
-        doc_keys = self.KEY_RE.findall(block_text)
-
-        doc_plain = []
-        doc_prefixed: Dict[str, List[int]] = {}
-        for k in doc_keys:
-            m = re.fullmatch(r"([a-z0-9_]+_)(\d+)", k)
-            if m and m.group(1) in prefixes:
-                doc_prefixed.setdefault(m.group(1), []).append(
-                    int(m.group(2))
-                )
-            else:
-                doc_plain.append(k)
-
-        for name in registered:
-            if name not in doc_plain:
-                yield Finding(
-                    self.STATS_CC,
-                    self.line_of(cc_code, 'fn( "{0}"'.format(name))
-                    or self.line_of(cc, '"%s"' % name),
-                    self.check_id,
-                    "counter '%s' is registered but missing from the "
-                    "%s stats object" % (name, self.SCHEMA_MD),
-                )
-        for name in doc_plain:
-            if name in self.DERIVED:
-                continue
-            if name not in registered:
-                yield Finding(
-                    self.SCHEMA_MD, block_line, self.check_id,
-                    "documented counter '%s' has no registration in "
-                    "%s" % (name, self.STATS_CC),
-                )
-        for prefix in prefixes:
-            idxs = sorted(doc_prefixed.get(prefix, []))
-            if not idxs:
-                yield Finding(
-                    self.SCHEMA_MD, block_line, self.check_id,
-                    "component counter family '%sN' is registered but "
-                    "not documented" % prefix,
-                )
-            elif idxs != list(range(len(idxs))):
-                yield Finding(
-                    self.SCHEMA_MD, block_line, self.check_id,
-                    "documented '%sN' indices %s are not contiguous "
-                    "from 0" % (prefix, idxs),
-                )
-        for prefix in doc_prefixed:
-            if prefix not in prefixes:
-                yield Finding(
-                    self.SCHEMA_MD, block_line, self.check_id,
-                    "documented counter family '%sN' has no "
-                    "componentCounterName registration" % prefix,
-                )
-
-    def workload_row_check(self, tree: Tree) -> Iterator[Finding]:
-        cc = tree.read(self.RESULTS_CC)
-        md = tree.read(self.SCHEMA_MD)
-        if cc is None or md is None:
-            # Inert without its subjects, like the counter check (the
-            # lint fixtures carry neither file).
-            return
-        body = self.workload_row_writer_body(cc)
-        if body is None:
-            yield Finding(
-                self.RESULTS_CC, 0, self.check_id,
-                "cannot locate toJson(const WorkloadResult &); the "
-                "workload-row schema cross-check needs it",
-            )
-            return
-        body_text, body_line = body
-        written = self.ROW_SET_RE.findall(body_text)
-
-        table = self.workload_row_table(md)
-        if table is None:
-            yield Finding(
-                self.SCHEMA_MD, 0, self.check_id,
-                'no field table under a "## Workload row" heading; '
-                "cannot cross-check the per-workload JSON fields",
-            )
-            return
-        table_text, table_line = table
-        documented = self.ROW_FIELD_RE.findall(table_text)
-
-        for name in written:
-            if name not in documented:
-                yield Finding(
-                    self.RESULTS_CC,
-                    body_line + self.offset_of(body_text,
-                                               '"%s"' % name),
-                    self.check_id,
-                    "workload-row field '%s' is written but missing "
-                    "from the %s \"Workload row\" table"
-                    % (name, self.SCHEMA_MD),
-                )
-        for name in documented:
-            if name not in written:
-                yield Finding(
-                    self.SCHEMA_MD, table_line, self.check_id,
-                    "documented workload-row field '%s' is never "
-                    "written by %s" % (name, self.RESULTS_CC),
-                )
-
-    @staticmethod
-    def workload_row_writer_body(cc: str) -> Optional[Tuple[str, int]]:
-        """Body of toJson(const WorkloadResult &) with its 1-based
-        start line, delimited by the first unindented '}'."""
-        lines = cc.splitlines()
-        start = None
-        for i, line in enumerate(lines):
-            if "toJson(const WorkloadResult" in line:
-                start = i
-                break
-        if start is None:
-            return None
-        for j in range(start + 1, len(lines)):
-            if lines[j].startswith("}"):
-                return "\n".join(lines[start:j + 1]), start + 1
-        return None
-
-    @staticmethod
-    def workload_row_table(md: str) -> Optional[Tuple[str, int]]:
-        """The '## Workload row' section with its 1-based start
-        line (field names are the backticked first table column)."""
-        lines = md.splitlines()
-        in_section = False
-        start = None
-        for i, line in enumerate(lines):
-            if line.startswith("## "):
-                if in_section:
-                    return "\n".join(lines[start:i]), start + 1
-                in_section = line.strip().lower().startswith(
-                    "## workload row"
-                )
-                if in_section:
-                    start = i
-                continue
-        if in_section and start is not None:
-            return "\n".join(lines[start:]), start + 1
-        return None
-
-    @staticmethod
-    def offset_of(text: str, needle: str) -> int:
-        for i, line in enumerate(text.splitlines()):
-            if needle in line:
-                return i
-        return 0
-
-    @staticmethod
-    def stats_object_block(md: str) -> Optional[Tuple[str, int]]:
-        lines = md.splitlines()
-        in_section = False
-        start = None
-        for i, line in enumerate(lines):
-            if line.startswith("## "):
-                in_section = line.strip().lower().startswith(
-                    "## stats object"
-                )
-                continue
-            if not in_section:
-                continue
-            if start is None and line.strip().startswith("```json"):
-                start = i + 1
-                continue
-            if start is not None and line.strip().startswith("```"):
-                return "\n".join(lines[start:i]), start + 1
-        return None
-
-    @staticmethod
-    def line_of(text: str, needle: str) -> Optional[int]:
-        compact = needle.replace(" ", "")
-        for i, line in enumerate(text.splitlines(), start=1):
-            if compact in line.replace(" ", ""):
-                return i
-        return None
-
-
-# ---------------------------------------------------------------------------
-# Check 4: config-paper sync
+# Check 3: config-paper sync
 
 
 @register
@@ -720,7 +476,9 @@ class ConfigSyncCheck(Check):
         hh = tree.read(self.CONFIG_HH)
         md = tree.read(self.DESIGN_MD)
         if hh is None or md is None:
-            # Inert without both subjects (see StatsSchemaCheck.run).
+            # Cross-file checks are inert in trees that lack their
+            # subjects; the seeded fixtures under tests/lint_fixtures
+            # rely on this.
             return
         values: Dict[str, int] = {}
         for m in self.FIELD_RE.finditer(strip_comments_and_strings(hh)):
@@ -814,7 +572,7 @@ class ConfigSyncCheck(Check):
 
 
 # ---------------------------------------------------------------------------
-# Check 5: header hygiene
+# Check 4: header hygiene
 
 
 @register
@@ -924,7 +682,7 @@ class HeaderHygieneCheck(Check):
 
 
 # ---------------------------------------------------------------------------
-# Check 6: state-snapshot completeness
+# Check 5: state-snapshot completeness
 
 
 def find_matching_brace(text: str, open_idx: int) -> Optional[int]:

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Build and run the sanitizer configurations:
 #
-#   build-asan   AddressSanitizer + UndefinedBehaviorSanitizer
+#   build-asan   AddressSanitizer + UndefinedBehaviorSanitizer, plus
+#                float-cast-overflow (which GCC leaves out of
+#                `undefined`)
 #   build-tsan   ThreadSanitizer
 #
 # Each tree builds with LVPSIM_ASSERTIONS=ON (so the qa invariant
@@ -45,6 +47,7 @@ targets="test_containers test_common test_trace test_harness \
 test_qa test_kernel_spec test_fuzz test_store test_sampling \
 test_trace_frontend lvpsim_cli"
 tsan_targets="test_differential test_sampling test_store"
+asan_sanitizers=address,undefined,float-cast-overflow
 
 run_config() {
     name=$1
@@ -80,10 +83,10 @@ run_config() {
 }
 
 case $only in
-    asan) run_config asan address,undefined ;;
+    asan) run_config asan "$asan_sanitizers" ;;
     tsan) run_config tsan thread ;;
     "")
-        run_config asan address,undefined
+        run_config asan "$asan_sanitizers"
         run_config tsan thread
         ;;
     *)
