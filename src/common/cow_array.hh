@@ -41,6 +41,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -181,10 +182,13 @@ class CowArray
 
     /**
      * Replace the contents with @p n elements written chunk by chunk:
-     * each new chunk is value-initialized and at once handed to
-     * @p fill as a std::span<T> of its live elements, while it is
-     * still in cache. Once @p fill returns false, the chunks after
-     * that one are left value-initialized.
+     * each new chunk is handed to @p fill as a std::span<T> of its
+     * live elements as soon as it is allocated, while it is still in
+     * cache. Those elements are not initialized first: @p fill must
+     * write every one of them, also when it returns false. Once it
+     * has returned false, the chunks after that one are left
+     * value-initialized. Only what @p fill does not write is zeroed:
+     * those chunks and the spare tail of the last one.
      */
     template <class Fill>
     void
@@ -197,10 +201,15 @@ class CowArray
         count = n;
         bool filling = true;
         for (std::size_t c = 0; c < want; ++c) {
-            chunks.push_back(new Chunk());
-            if (filling)
-                filling = fill(std::span<T>(chunks[c]->elems.data(),
-                                            chunkLength(c)));
+            if (!filling) {
+                chunks.push_back(new Chunk());
+                continue;
+            }
+            chunks.push_back(new Chunk(Chunk::unfilled));
+            T *elems = chunks[c]->elems.data();
+            const std::size_t len = chunkLength(c);
+            std::fill(elems + len, elems + chunkSize, T{});
+            filling = fill(std::span<T>(elems, len));
         }
     }
 
@@ -214,12 +223,28 @@ class CowArray
   private:
     struct Chunk
     {
+        struct Unfilled
+        {
+        };
+        /** Tag: the elements are left for assign()'s fill to write. */
+        static constexpr Unfilled unfilled{};
+
         Chunk() : elems{} {}
         explicit Chunk(const std::array<T, chunkSize> &e) : elems(e) {}
+        explicit Chunk(Unfilled) {}
 
         std::atomic<std::uint32_t> refs{1};
-        std::array<T, chunkSize> elems;
+        // In a union so that the Unfilled constructor runs no element
+        // initializer (a plain member would run T's default member
+        // initializers, which is the zeroing assign() skips).
+        union
+        {
+            std::array<T, chunkSize> elems;
+        };
     };
+    static_assert(std::is_trivially_copyable_v<T> &&
+                      std::is_trivially_destructible_v<T>,
+                  "chunks are copied and dropped as plain bytes");
 
     static void
     retain(Chunk *c)

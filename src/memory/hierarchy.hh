@@ -60,6 +60,15 @@ class MemoryHierarchy
     /** Instruction fetch for a cache block. */
     Cycle instFetch(Addr pc);
 
+    /** The latency of the slowest dataAccess(): a TLB miss, then a
+     *  miss in every cache level. */
+    Cycle
+    maxDataLatency() const
+    {
+        return dtlb.walkLatency() + dcache.latency() + l2cache.latency() +
+               l3cache.latency() + cfg.memoryLatency;
+    }
+
     Cache &l1d() { return dcache; }
     Cache &l1i() { return icache; }
     Cache &l2() { return l2cache; }

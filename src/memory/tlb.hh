@@ -60,6 +60,8 @@ class Tlb
 
     std::uint64_t hits() const { return st.numHits; }
     std::uint64_t misses() const { return st.numMisses; }
+    /** The extra latency of a miss. */
+    Cycle walkLatency() const { return walkLat; }
 
   private:
     struct Way

@@ -206,9 +206,9 @@ Core::completeStage()
     // an older load may squash the younger ones mid-batch, which
     // drops them from the calendar.
     bool any = false;
-    while (!completions.empty() && completions.top().cycle <= st.now) {
-        const std::uint32_t slot = completions.top().slot;
-        completions.pop();
+    for (std::uint32_t slot = completions.first(st.now); slot != noSlot;
+         slot = completions.first(st.now)) {
+        completions.remove(slot);
         Inflight &f = st.rob.atSlot(slot);
         f.done = true;
         --st.issuedNotDone;
@@ -244,10 +244,7 @@ Core::issueStage(unsigned &ls_used)
 
     // Ops whose operands and front-end delay are due join the ready
     // list at the start of the cycle.
-    while (!wakeups.empty() && wakeups.top().cycle <= st.now) {
-        ready.set(wakeups.top().slot);
-        wakeups.pop();
-    }
+    wakeups.drain(st.now, [&](std::uint32_t slot) { ready.set(slot); });
 
     const unsigned alu_lanes = cfg.issueWidth - cfg.lsLanes;
 
@@ -313,7 +310,7 @@ Core::issueStage(unsigned &ls_used)
         f.doneCycle = st.now + std::max<Cycle>(1, lat);
         ready.reset(slot);
         iqSlots.reset(slot);
-        completions.push({f.doneCycle, f.seq, slot});
+        completions.insert(slot, f.doneCycle, st.now, f.seq);
         --st.iqCount;
         ++st.issuedNotDone;
         ++issued_count;
@@ -632,6 +629,8 @@ Core::squashYoungerThan(InstSeqNum oldest_squashed,
             stopWaiting(slot);
         ready.reset(slot);
         iqSlots.reset(slot);
+        wakeups.remove(slot);
+        completions.remove(slot);
         if (f.inIQ)
             --st.iqCount;
         if (f.issued && !f.done)
@@ -657,8 +656,6 @@ Core::squashYoungerThan(InstSeqNum oldest_squashed,
     // its tail.
     while (!st.paq.empty() && st.paq.back().seq >= oldest_squashed)
         st.paq.pop_back();
-    wakeups.dropFrom(oldest_squashed);
-    completions.dropFrom(oldest_squashed);
 
     if (st.refetchStash.size() > st.stats.refetchStashPeak)
         st.stats.refetchStashPeak = st.refetchStash.size();
@@ -732,7 +729,7 @@ Core::scheduleOp(std::uint32_t slot)
     if (when <= st.now)
         ready.set(slot);
     else
-        wakeups.push({when, c.seq, slot});
+        wakeups.append(slot, when, st.now);
 }
 
 void
@@ -784,10 +781,10 @@ Core::rebuildSchedule()
     ready.configure(cap);
     iqSlots.configure(cap);
     waits.assign(cap, WaitLinks{});
-    wakeups.clear();
-    wakeups.reserve(cap);
-    completions.clear();
-    completions.reserve(cap);
+    const std::size_t span =
+        std::max<std::size_t>(64, std::bit_ceil(maxEventDelay() + 1));
+    wakeups.configure(cap, span);
+    completions.configure(cap, span);
 
     auto slot_of_seq = [&](InstSeqNum seq) {
         const auto it = std::lower_bound(
@@ -814,12 +811,97 @@ Core::rebuildSchedule()
         const Inflight &f = st.rob[i];
         const auto slot = std::uint32_t(st.rob.slotOf(i));
         if (f.issued && !f.done)
-            completions.push({f.doneCycle, f.seq, slot});
+            completions.insert(slot, f.doneCycle, st.now, f.seq);
         if (f.inIQ) {
             iqSlots.set(slot);
             scheduleOp(slot);
         }
     }
+}
+
+Cycle
+Core::maxEventDelay() const
+{
+    // A completion is due at most one latency ahead: an execution
+    // latency, store forwarding (1 + stlfLat) or the slowest data
+    // access (1 + maxDataLatency). A timed wakeup is due at its op's
+    // minIssueCycle (less than fetchToExecute ahead), when a PAQ
+    // probe returns (an L1D latency ahead) or at a producer's
+    // completion.
+    return std::max({cfg.fetchToExecute, cfg.intAluLat, cfg.intMulLat,
+                     cfg.intDivLat, cfg.fpLat, cfg.branchLat,
+                     cfg.storeLat, 1 + cfg.stlfLat,
+                     1 + memory.maxDataLatency()});
+}
+
+void
+Core::Calendar::configure(std::size_t slots, std::size_t span)
+{
+    // span is a power of two of at least 64: one occupancy word per
+    // 64 buckets.
+    links.assign(slots, Link{});
+    heads.assign(span, noSlot);
+    tails.assign(span, noSlot);
+    occupied.assign(span / 64, 0);
+    mask = span - 1;
+    count = 0;
+}
+
+Cycle
+Core::Calendar::earliest(Cycle now) const
+{
+    if (count == 0)
+        return std::numeric_limits<Cycle>::max();
+    // Scan the buckets circularly from now + 1. Every entry is due
+    // less than span() cycles ahead, so the first occupied bucket
+    // holds the earliest cycle.
+    const std::size_t start = (now + 1) & mask;
+    std::size_t w = start >> 6;
+    std::uint64_t bits =
+        occupied[w] & (~std::uint64_t(0) << (start & 63));
+    while (!bits) {
+        w = (w + 1) & (occupied.size() - 1);
+        bits = occupied[w];
+    }
+    const std::size_t b = (w << 6) + std::size_t(std::countr_zero(bits));
+    return now + 1 + ((b - start) & mask);
+}
+
+void
+Core::Calendar::check(Cycle now, bool ordered) const
+{
+    std::size_t linked = 0;
+    for (std::size_t b = 0; b < heads.size(); ++b) {
+        LVPSIM_CHECK((heads[b] != noSlot) ==
+                         ((occupied[b >> 6] & bit(b)) != 0),
+                     "calendar bucket %zu: occupancy bit out of sync", b);
+        std::uint32_t prev = noSlot;
+        for (std::uint32_t s = heads[b]; s != noSlot; s = links[s].next) {
+            const Link &l = links[s];
+            LVPSIM_CHECK(linked < count && l.prev == prev &&
+                             (l.at & mask) == b,
+                         "calendar bucket %zu is corrupt", b);
+            LVPSIM_CHECK(l.at > now && l.at - now < span(),
+                         "calendar entry due at %llu, now %llu",
+                         static_cast<unsigned long long>(l.at),
+                         static_cast<unsigned long long>(now));
+            LVPSIM_CHECK(!ordered || prev == noSlot ||
+                             links[prev].seq < l.seq,
+                         "calendar bucket %zu is out of seq order", b);
+            prev = s;
+            ++linked;
+        }
+        LVPSIM_CHECK(tails[b] == prev, "calendar bucket %zu: stale tail",
+                     b);
+    }
+    std::size_t marked = 0;
+    for (const Link &l : links)
+        marked += l.at != 0 ? 1 : 0;
+    // With the per-bucket checks above, this puts every marked slot
+    // in exactly one bucket.
+    LVPSIM_CHECK(linked == count && marked == count,
+                 "calendar count %zu, %zu linked, %zu marked", count,
+                 linked, marked);
 }
 
 // --------------------------------------------------------------------
@@ -943,6 +1025,8 @@ Core::checkScheduleInvariants() const
     // Every IQ op is in exactly one place: on one producer's wakeup
     // list, in the wakeup calendar, or on the ready list. Issued ops
     // that have not completed are exactly the completion calendar.
+    wakeups.check(st.now, false);
+    completions.check(st.now, true);
     std::size_t n_ready = 0, n_waiting = 0;
     Cycle prev_min_issue = 0;
     for (std::size_t i = 0; i < st.rob.size(); ++i) {
@@ -962,6 +1046,14 @@ Core::checkScheduleInvariants() const
                      static_cast<unsigned long long>(f.seq));
         LVPSIM_CHECK(!(is_ready && is_waiting),
                      "op both ready and waiting (seq %llu)",
+                     static_cast<unsigned long long>(f.seq));
+        LVPSIM_CHECK(!wakeups.holds(std::uint32_t(slot)) ||
+                         (f.inIQ && !is_ready && !is_waiting),
+                     "stale wakeup (seq %llu)",
+                     static_cast<unsigned long long>(f.seq));
+        LVPSIM_CHECK(completions.at(std::uint32_t(slot)) ==
+                         (f.issued && !f.done ? f.doneCycle : 0),
+                     "completion calendar out of sync (seq %llu)",
                      static_cast<unsigned long long>(f.seq));
         LVPSIM_CHECK(!is_ready || f.minIssueCycle <= st.now,
                      "ready op before its minIssueCycle");
@@ -990,37 +1082,19 @@ Core::checkScheduleInvariants() const
             continue;
         LVPSIM_CHECK(!ready.test(slot) && !iqSlots.test(slot) &&
                          waits[slot].on == noSlot &&
-                         waits[slot].head == noSlot,
+                         waits[slot].head == noSlot &&
+                         !wakeups.holds(std::uint32_t(slot)) &&
+                         !completions.holds(std::uint32_t(slot)),
                      "dead ROB slot %zu still scheduled", slot);
     }
-    const auto &timed = wakeups.entries();
-    for (std::size_t i = 0; i < timed.size(); ++i) {
-        const SlotEvent &e = timed[i];
-        const Inflight *f = liveOp(e.slot, e.seq);
-        LVPSIM_CHECK(f && f->inIQ && !ready.test(e.slot) &&
-                         waits[e.slot].on == noSlot && e.cycle > st.now,
-                     "stale wakeup (seq %llu)",
-                     static_cast<unsigned long long>(e.seq));
-        for (std::size_t j = 0; j < i; ++j)
-            LVPSIM_CHECK(timed[j].slot != e.slot,
-                         "op %llu timed twice",
-                         static_cast<unsigned long long>(e.seq));
-    }
-    LVPSIM_CHECK(n_ready + n_waiting + timed.size() == st.iqCount,
+    LVPSIM_CHECK(n_ready + n_waiting + wakeups.size() == st.iqCount,
                  "IQ ops unaccounted: %zu ready + %zu waiting + %zu "
                  "timed != %u",
-                 n_ready, n_waiting, timed.size(), st.iqCount);
+                 n_ready, n_waiting, wakeups.size(), st.iqCount);
     LVPSIM_CHECK(completions.size() == st.issuedNotDone,
                  "completion calendar holds %zu, issuedNotDone %llu",
                  completions.size(),
                  static_cast<unsigned long long>(st.issuedNotDone));
-    for (const SlotEvent &e : completions.entries()) {
-        const Inflight *f = liveOp(e.slot, e.seq);
-        LVPSIM_CHECK(f && f->issued && !f->done &&
-                         f->doneCycle == e.cycle && e.cycle > st.now,
-                     "stale completion (seq %llu)",
-                     static_cast<unsigned long long>(e.seq));
-    }
 }
 
 // --------------------------------------------------------------------
@@ -1037,9 +1111,7 @@ Core::nextEventCycle() const
     // each is at or after its op's minIssueCycle. The target must be
     // exact, because idle cycles have side effects (paqStage spends
     // LS slots popping dead PAQ entries).
-    Cycle next = std::numeric_limits<Cycle>::max();
-    if (!completions.empty())
-        next = completions.top().cycle;
+    Cycle next = completions.earliest(st.now);
     if (st.iqCount > 0)
         next = std::min(next, st.rob[iqSlots.next(st.rob, 0)].minIssueCycle);
     if (st.fetchResumeCycle > st.now &&

@@ -36,6 +36,7 @@
 #include "branch/ras.hh"
 #include "branch/tage.hh"
 #include "common/flat_map.hh"
+#include "common/logging.hh"
 #include "common/ring_buffer.hh"
 #include "common/types.hh"
 #include "core/lvp_interface.hh"
@@ -377,6 +378,9 @@ class Core
     void validateLoad(Inflight &f);
     void checkStoreOrderViolation(const Inflight &store);
     Cycle nextEventCycle() const;
+    /** The furthest ahead of now any wakeup or completion can be
+     *  due; sizes the calendars. */
+    Cycle maxEventDelay() const;
 
     // Event-driven scheduling (see docs/performance.md).
     void scheduleOp(std::uint32_t slot);
@@ -463,56 +467,155 @@ class Core
         std::vector<std::uint64_t> words;
     };
 
-    /** A ROB slot due at a cycle; min-heap order is (cycle, seq), so
-     *  same-cycle events pop oldest first. */
-    struct SlotEvent
-    {
-        Cycle cycle = 0;
-        InstSeqNum seq = 0;
-        std::uint32_t slot = noSlot;
-    };
-
-    class EventQueue
+    /**
+     * A timing wheel of ROB slots: one bucket per cycle for the next
+     * span() cycles, each bucket a doubly linked list through per-slot
+     * links (as the wakeup lists are), so push and removal are O(1)
+     * and nothing allocates after configure(). Every entry is due
+     * after now and less than span() cycles ahead, so a bucket holds
+     * the events of one cycle only. A bit per bucket marks the
+     * non-empty ones, so earliest() is a short bit scan.
+     */
+    class Calendar
     {
       public:
-        void reserve(std::size_t n) { heap.reserve(n); }
-        bool empty() const { return heap.empty(); }
-        std::size_t size() const { return heap.size(); }
-        const SlotEvent &top() const { return heap.front(); }
-        const std::vector<SlotEvent> &entries() const { return heap; }
-        void clear() { heap.clear(); }
+        void configure(std::size_t slots, std::size_t span);
+        std::size_t span() const { return heads.size(); }
+        std::size_t size() const { return count; }
+        bool holds(std::uint32_t s) const { return links[s].at != 0; }
+        /** The cycle @p s is due at (0 if it is not on the calendar). */
+        Cycle at(std::uint32_t s) const { return links[s].at; }
+        /** The first slot due at @p c, or noSlot. */
+        std::uint32_t first(Cycle c) const { return heads[c & mask]; }
+
+        /** Put @p s at the end of cycle @p c's bucket. */
         void
-        push(const SlotEvent &e)
+        append(std::uint32_t s, Cycle c, Cycle now)
         {
-            heap.push_back(e);
-            std::push_heap(heap.begin(), heap.end(), later);
-        }
-        void
-        pop()
-        {
-            std::pop_heap(heap.begin(), heap.end(), later);
-            heap.pop_back();
-        }
-        /** Drop every event of an op with seq >= @p oldest (squash). */
-        void
-        dropFrom(InstSeqNum oldest)
-        {
-            const auto end = std::remove_if(
-                heap.begin(), heap.end(),
-                [&](const SlotEvent &e) { return e.seq >= oldest; });
-            if (end == heap.end())
-                return;
-            heap.erase(end, heap.end());
-            std::make_heap(heap.begin(), heap.end(), later);
+            place(s, c, now);
+            const std::size_t b = c & mask;
+            link(s, b, tails[b]);
         }
 
-      private:
-        static bool
-        later(const SlotEvent &a, const SlotEvent &b)
+        /** Put @p s into cycle @p c's bucket in seq order, so the
+         *  bucket pops oldest first. */
+        void
+        insert(std::uint32_t s, Cycle c, Cycle now, InstSeqNum seq)
         {
-            return a.cycle != b.cycle ? a.cycle > b.cycle : a.seq > b.seq;
+            place(s, c, now);
+            links[s].seq = seq;
+            const std::size_t b = c & mask;
+            std::uint32_t after = tails[b];
+            while (after != noSlot && links[after].seq > seq)
+                after = links[after].prev;
+            link(s, b, after);
         }
-        std::vector<SlotEvent> heap;
+
+        /** Take @p s off the calendar, if it is on it. */
+        void
+        remove(std::uint32_t s)
+        {
+            Link &l = links[s];
+            if (l.at == 0)
+                return;
+            const std::size_t b = l.at & mask;
+            if (l.prev != noSlot)
+                links[l.prev].next = l.next;
+            else
+                heads[b] = l.next;
+            if (l.next != noSlot)
+                links[l.next].prev = l.prev;
+            else
+                tails[b] = l.prev;
+            if (heads[b] == noSlot)
+                occupied[b >> 6] &= ~bit(b);
+            l = Link{};
+            --count;
+        }
+
+        /** Empty cycle @p c's bucket, calling fn(slot) for each. */
+        template <class F>
+        void
+        drain(Cycle c, F &&fn)
+        {
+            const std::size_t b = c & mask;
+            std::uint32_t s = heads[b];
+            if (s == noSlot)
+                return;
+            heads[b] = tails[b] = noSlot;
+            occupied[b >> 6] &= ~bit(b);
+            while (s != noSlot) {
+                const std::uint32_t next = links[s].next;
+                links[s] = Link{};
+                --count;
+                fn(s);
+                s = next;
+            }
+        }
+
+        /** The earliest cycle with an entry (every entry is due after
+         *  @p now), or the maximum Cycle if the calendar is empty. */
+        Cycle earliest(Cycle now) const;
+
+        /** Structural cross-check (checked builds): links, buckets,
+         *  occupancy bits and count agree, every entry is due in
+         *  (now, now + span()), and @p ordered buckets are in seq
+         *  order. */
+        void check(Cycle now, bool ordered) const;
+
+      private:
+        /** Events are due after now >= 0, so 0 marks a free slot. */
+        struct Link
+        {
+            Cycle at = 0;
+            InstSeqNum seq = 0;
+            std::uint32_t next = noSlot;
+            std::uint32_t prev = noSlot;
+        };
+
+        static std::uint64_t bit(std::size_t b)
+        {
+            return std::uint64_t(1) << (b & 63);
+        }
+
+        void
+        place(std::uint32_t s, Cycle c, Cycle now)
+        {
+            lvp_assert(c > now && c - now < span(),
+                       "event %llu cycles ahead is outside the "
+                       "scheduler's %zu-cycle span",
+                       static_cast<unsigned long long>(c - now), span());
+            links[s].at = c;
+            ++count;
+        }
+
+        /** Link @p s into bucket @p b after @p after (noSlot: at the
+         *  head). */
+        void
+        link(std::uint32_t s, std::size_t b, std::uint32_t after)
+        {
+            Link &l = links[s];
+            l.prev = after;
+            if (after != noSlot) {
+                l.next = links[after].next;
+                links[after].next = s;
+            } else {
+                l.next = heads[b];
+                heads[b] = s;
+                occupied[b >> 6] |= bit(b);
+            }
+            if (l.next != noSlot)
+                links[l.next].prev = s;
+            else
+                tails[b] = s;
+        }
+
+        std::vector<Link> links;          ///< per ROB slot
+        std::vector<std::uint32_t> heads; ///< per bucket
+        std::vector<std::uint32_t> tails; ///< per bucket
+        std::vector<std::uint64_t> occupied;
+        std::size_t mask = 0;
+        std::size_t count = 0;
     };
 
     /** Wakeup-list links of one ROB slot: the op in it as a consumer
@@ -529,15 +632,16 @@ class Core
     // The scheduler's indexes over st.rob. Every IQ op is in exactly
     // one place: on a producer's wakeup list (its operand-ready cycle
     // is not known yet), in `wakeups` (known, in the future), or in
-    // `ready`. Issued ops wait for completion in `completions`.
+    // `ready`. Issued ops wait for completion in `completions`, whose
+    // buckets are in seq order.
     // lvplint: allow(state-snapshot) -- derived from st.rob, rebuilt by restoreState
     SlotSet ready;
     // lvplint: allow(state-snapshot) -- derived from st.rob, rebuilt by restoreState
     SlotSet iqSlots;
     // lvplint: allow(state-snapshot) -- derived from st.rob, rebuilt by restoreState
-    EventQueue wakeups;
+    Calendar wakeups;
     // lvplint: allow(state-snapshot) -- derived from st.rob, rebuilt by restoreState
-    EventQueue completions;
+    Calendar completions;
     // lvplint: allow(state-snapshot) -- derived from st.rob, rebuilt by restoreState
     std::vector<WaitLinks> waits;
     /// ROB slot of each register's last writer (st.lastWriter's seq).

@@ -18,6 +18,7 @@ struct Scalar
     std::string_view unit;
     std::string_view meaning;
     std::uint64_t SimStats::*member;
+    Aggregation aggregation = Aggregation::WeightedSum;
 };
 
 /** The scalar counters, in counters() order. */
@@ -64,11 +65,11 @@ constexpr Scalar kScalars[] = {
     {"refetch_stash_peak", "entries",
      "peak size of the core's squashed-prediction stash (a high-water "
      "mark, bounded by the in-flight window; docs/performance.md)",
-     &SimStats::refetchStashPeak},
+     &SimStats::refetchStashPeak, Aggregation::Max},
     {"vp_snapshots_peak", "entries",
      "peak count of the predictor's pending per-token snapshots (a "
      "high-water mark, bounded by the in-flight window)",
-     &SimStats::vpSnapshotsPeak},
+     &SimStats::vpSnapshotsPeak, Aggregation::Max},
     {"l1d_misses", "misses", "L1D misses", &SimStats::l1dMisses},
     {"l2_misses", "misses", "L2 misses", &SimStats::l2Misses},
 };
@@ -107,14 +108,16 @@ counters()
         std::vector<CounterInfo> l;
         for (const Scalar &c : kScalars)
             l.push_back({std::string(c.name), c.unit,
-                         std::string(c.meaning), c.member});
+                         std::string(c.meaning), c.aggregation,
+                         c.member});
         for (const PerComponent &f : kPerComponent) {
             for (std::size_t i = 0; i < kComponentSlots; ++i) {
                 l.push_back({std::string(f.prefix) + std::to_string(i),
                              f.unit,
                              std::string(f.meaning) + " " +
                                  componentName(ComponentId(i)),
-                             nullptr, f.member, i});
+                             Aggregation::WeightedSum, nullptr, f.member,
+                             i});
             }
         }
         return l;

@@ -95,9 +95,20 @@ struct SimStats
     bool operator==(const SimStats &) const = default;
 };
 
+/** How a counter combines across the representatives of a sampled
+ *  run (sim::runSampled): an event count scales with the
+ *  instructions each one stands for and adds up; a high-water gauge
+ *  takes the largest reading. */
+enum class Aggregation
+{
+    WeightedSum,
+    Max,
+};
+
 /**
  * One raw counter of SimStats: its name in results JSON and in
- * snapshots, its unit and a one-line meaning. The "Stats object"
+ * snapshots, its unit, a one-line meaning and how sampled runs
+ * aggregate it. The "Stats object"
  * table of docs/results_schema.md is generated from counters() and
  * kDerivedMetrics (tests/test_results_json.cc), so a counter
  * is documented where it is registered.
@@ -107,6 +118,7 @@ struct CounterInfo
     std::string name;
     std::string_view unit;
     std::string meaning;
+    Aggregation aggregation = Aggregation::WeightedSum;
     /// A scalar member, or element `component` of a per-component
     /// array (exactly one of the two pointers is set).
     std::uint64_t SimStats::*scalar = nullptr;

@@ -374,15 +374,18 @@ class Reader
     }
 
     /** Decode fixed-width elements after one bounds check for all
-     *  of them. */
+     *  of them. Writes every element of @p out, also on failure (a
+     *  CowArray chunk arrives uninitialized). */
     template <class T>
     void
     getFixedWidth(std::span<T> out)
     {
         const std::size_t size = minEncodedBytes<T>();
         const std::uint8_t *p = r.take(out.size() * size);
-        if (p == nullptr)
+        if (p == nullptr) {
+            std::fill(out.begin(), out.end(), T{});
             return;
+        }
         FixedWidthReader in(p);
         for (T &e : out)
             in.get(e);

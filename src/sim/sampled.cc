@@ -297,8 +297,8 @@ runSampledWorkload(const std::string &workload,
 
         // Weighted-sum extrapolation: each counter scales by the
         // instructions this representative stands for, divided by
-        // the instructions actually measured. `*_peak` counters are
-        // gauges, not rates — extrapolate those as the max.
+        // the instructions actually measured. Gauges (high-water
+        // marks) are not rates: they take the max instead.
         const double scale =
             st.instructions
                 ? double(rep.weightInstructions) /
@@ -318,7 +318,7 @@ runSampledWorkload(const std::string &workload,
 
     for (std::size_t d = 0; d < counters.size(); ++d)
         counters[d].value(out.stats) =
-            counters[d].name.ends_with("_peak")
+            counters[d].aggregation == pipe::Aggregation::Max
                 ? peak[d]
                 : std::uint64_t(std::llround(acc[d]));
 

@@ -54,8 +54,9 @@ struct SampledHostSeconds
 /** Result of one sampled run: extrapolated stats plus error model. */
 struct SampledRunResult
 {
-    /** Counters extrapolated to the full trace (weighted sums;
-     *  `*_peak` gauges take the max over representatives). */
+    /** Counters extrapolated to the full trace, each by its
+     *  pipe::CounterInfo::aggregation (weighted sums; gauges take
+     *  the max over representatives). */
     pipe::SimStats stats{};
     /**
      * Confidence bound on the extrapolation: the larger of the

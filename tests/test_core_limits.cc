@@ -6,8 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <string>
+
+#include "common/binio.hh"
+#include "core/composite.hh"
 #include "pipeline/core.hh"
+#include "qa/generators.hh"
 #include "trace/asm_emitter.hh"
+#include "trace/workloads.hh"
 
 using namespace lvpsim;
 using namespace lvpsim::pipe;
@@ -204,4 +213,66 @@ TEST(CoreLimits, DeeperFrontEndRaisesBranchPenalty)
     const auto s_shallow = runWith(out, shallow);
     const auto s_deep = runWith(out, deep);
     EXPECT_GT(s_shallow.ipc(), s_deep.ipc() * 1.3);
+}
+
+TEST(CoreLimits, LongLatencyCountersArePinned)
+{
+    // Events far beyond the default core's reach (about 270 cycles
+    // for a TLB walk plus a memory access): a 2000-cycle memory, a
+    // 300-cycle L3 and a 700-cycle divide. Every counter of each cell
+    // is hashed, so a scheduler that drops, delays or reorders a
+    // distant wakeup or completion moves the hash. The qa trace is
+    // the one with divides; the kernels have none.
+    CoreConfig cfg;
+    cfg.memory.memoryLatency = 2000;
+    cfg.memory.l3.accessLatency = 300;
+    cfg.intDivLat = 700;
+
+    struct Cell
+    {
+        const char *trace;
+        bool vp;
+        const char *hash;
+    };
+    const Cell cells[] = {
+        {"pointer_chase", false, "f31096c488f375cf"},
+        {"pointer_chase", true, "006d15f69867df80"},
+        {"hash_probe", false, "cb54d5edf79ba3d1"},
+        {"hash_probe", true, "bbdb9742c47bec2d"},
+        {"branchy_mix", false, "afa6ed6cb06a358a"},
+        {"branchy_mix", true, "0c80717c2cad0946"},
+        {"gen7", false, "cf70bc7fdfe032ca"},
+        {"gen7", true, "0c925a6dc078109b"},
+    };
+    for (const Cell &cell : cells) {
+        std::vector<MicroOp> ops;
+        if (std::string(cell.trace) == "gen7") {
+            qa::Gen g(7);
+            qa::TraceGenConfig tcfg;
+            tcfg.minOps = tcfg.maxOps = 8000;
+            ops = qa::genTrace(g, tcfg);
+        } else {
+            ops = generateWorkload(cell.trace, 8000, 1);
+        }
+        std::unique_ptr<LoadValuePredictor> predictor;
+        if (cell.vp)
+            predictor = std::make_unique<vp::CompositePredictor>(
+                vp::CompositeConfig::bestOf(1024));
+        Core core(cfg, ops, predictor.get());
+        const SimStats s = core.run();
+        EXPECT_EQ(s.instructions, ops.size()) << cell.trace;
+
+        std::uint64_t h = kFnvOffsetBasis;
+        forEachCounter(s, [&](std::string_view, std::uint64_t v) {
+            for (int b = 0; b < 8; ++b) {
+                h ^= (v >> (8 * b)) & 0xff;
+                h *= kFnvPrime;
+            }
+        });
+        char hex[17];
+        std::snprintf(hex, sizeof hex, "%016llx",
+                      static_cast<unsigned long long>(h));
+        EXPECT_EQ(std::string(hex), cell.hash)
+            << cell.trace << (cell.vp ? " bestOf(1024)" : " no-VP");
+    }
 }

@@ -5,11 +5,14 @@
  * must match std::vector references element for element, whichever
  * side of a copy writes first; the chunk accounting is exact (a
  * fresh copy shares every chunk, one write clones exactly one); and
- * assign() hands each new chunk to its fill exactly once.
+ * assign() hands each new chunk to its fill exactly once and zeroes
+ * what the fill does not write.
  */
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <utility>
 #include <vector>
@@ -211,10 +214,8 @@ TEST(CowArray, AssignFillsEachNewChunkOnce)
     std::uint64_t next = 0;
     a.assign(2 * Array::chunkSize + 2, [&](std::span<Elem> chunk) {
         lengths.push_back(chunk.size());
-        for (Elem &e : chunk) {
-            EXPECT_EQ(e.v, 0u) << "chunk handed over uninitialized";
+        for (Elem &e : chunk)
             e.v = ++next;
-        }
         return true;
     });
     EXPECT_EQ(lengths,
@@ -243,4 +244,59 @@ TEST(CowArray, AssignFillsEachNewChunkOnce)
 
     a.assign(0, [](std::span<Elem>) { return true; });
     expectMatches(a, {}, 2);
+}
+
+TEST(CowArray, AssignZeroesWhatTheFillDoesNotWrite)
+{
+    // assign() hands its fill chunks that are not initialized. Free
+    // chunks full of junk first, so that a chunk assign() should
+    // have zeroed but did not would likely show the junk.
+    const auto recycle_junk = [] {
+        Array junk;
+        junk.resize(4 * Array::chunkSize);
+        for (std::size_t i = 0; i < junk.size(); ++i) {
+            Elem *e = junk.writable(i);
+            e->v = ~std::uint64_t(0);
+            std::fill(std::begin(e->pad), std::end(e->pad), 0xa5);
+        }
+    };
+    const auto zeroed = [](const Elem &e) {
+        return e.v == 0 && std::all_of(std::begin(e.pad), std::end(e.pad),
+                                       [](std::uint8_t b) { return b == 0; });
+    };
+
+    // A partial last chunk: its spare tail, reachable through
+    // writable() on its last live element, reads as zero.
+    recycle_junk();
+    Array partial;
+    partial.assign(Array::chunkSize + 1, [](std::span<Elem> chunk) {
+        for (Elem &e : chunk)
+            e = Elem{5, {}};
+        return true;
+    });
+    std::vector<std::uint64_t> want(Array::chunkSize + 1, 5);
+    expectMatches(partial, want, 0);
+    const Elem *last = partial.writable(Array::chunkSize);
+    for (std::size_t k = 1; k < Array::chunkSize; ++k)
+        EXPECT_TRUE(zeroed(last[k])) << "spare tail element " << k;
+
+    // A failed fill: the failing chunk holds what the fill wrote,
+    // every later chunk is value-initialized, the spare tail too.
+    recycle_junk();
+    Array failed;
+    int calls = 0;
+    failed.assign(3 * Array::chunkSize + 2, [&](std::span<Elem> chunk) {
+        for (Elem &e : chunk)
+            e = Elem{9, {}};
+        return ++calls < 2;
+    });
+    EXPECT_EQ(calls, 2);
+    want.assign(3 * Array::chunkSize + 2, 0);
+    std::fill(want.begin(), want.begin() + 2 * Array::chunkSize, 9);
+    expectMatches(failed, want, 1);
+    for (std::size_t i = 2 * Array::chunkSize; i < failed.size(); ++i)
+        EXPECT_TRUE(zeroed(failed[i])) << "element " << i;
+    last = failed.writable(failed.size() - 1);
+    for (std::size_t k = 1; k + 1 < Array::chunkSize; ++k)
+        EXPECT_TRUE(zeroed(last[k])) << "spare tail element " << k;
 }

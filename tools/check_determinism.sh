@@ -1,19 +1,10 @@
 #!/bin/sh
 # Regression gate for the parallel suite runner: a suite run at
 # --jobs 4 must produce byte-identical per-workload results to
-# --jobs 1. Only the timing fields (wall_seconds / base_seconds /
-# vp_seconds / checkpoint_seconds), the recorded jobs count, the
-# progress-hook tally (progress_instructions — sampled on a
-# wall-clock cadence, so run-dependent by design), and the per-trace
-# metadata (trace_format / trace_instructions — stable run-to-run,
-# but stripped so this gate also diffs cleanly against JSON written
-# before those fields existed), and the checkpoint-store traffic
-# counters (store_hits / store_misses / store_seconds — the second
-# run hits entries the first published) may differ — those lines are
-# stripped
-# before the diff (the schema pretty-prints one field per line
-# precisely so this filter stays a one-liner; see
-# docs/results_schema.md).
+# --jobs 1. Only the run-dependent lines listed in strip_timing.sh
+# (host timing, the recorded jobs count, the progress tally, per-trace
+# metadata and checkpoint-store traffic) may differ; they are stripped
+# before the diff.
 #
 # Usage: check_determinism.sh <path-to-lvpsim_cli> [workdir]
 # Wired into ctest as `suite_determinism` (tools/CMakeLists.txt).
@@ -31,9 +22,9 @@ export LVPSIM_SUITE=${LVPSIM_SUITE:-smoke}
 "$CLI" --suite --predictor composite --instrs "$INSTRS" \
        --jobs 4 --json "$DIR/jobs4.json" > /dev/null
 
-strip_timing() {
-    grep -vE '"(wall_seconds|base_seconds|vp_seconds|checkpoint_seconds|jobs|trace_format|trace_instructions|progress_instructions|store_hits|store_misses|store_seconds)"' "$1"
-}
+# strip_timing: drops the run-dependent lines (timing, jobs, store
+# traffic); the field list lives in strip_timing.sh.
+. "$(dirname "$0")/strip_timing.sh"
 
 strip_timing "$DIR/jobs1.json" > "$DIR/jobs1.stripped"
 strip_timing "$DIR/jobs4.json" > "$DIR/jobs4.stripped"

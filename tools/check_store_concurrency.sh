@@ -2,8 +2,8 @@
 # Concurrency gate for the persistent checkpoint store: two suite
 # processes launched at the same instant against one fresh store
 # directory must (a) both finish with byte-identical results (timing
-# and store-counter lines stripped, same filter as
-# check_determinism.sh), and (b) leave no stale `*.building` claim
+# and store-counter lines stripped by strip_timing.sh, the filter
+# check_determinism.sh uses too), and (b) leave no stale `*.building` claim
 # files behind — every claim is released on publish or on local-build
 # fallback. A third, fresh process then runs against the now-warm
 # store and must report store_misses == 0: everything the pair built
@@ -30,9 +30,9 @@ WARMUP=${LVPSIM_CHECK_WARMUP:-4000}
 
 export LVPSIM_SUITE=${LVPSIM_SUITE:-smoke}
 
-strip_timing() {
-    grep -vE '"(wall_seconds|base_seconds|vp_seconds|checkpoint_seconds|jobs|trace_format|trace_instructions|progress_instructions|store_hits|store_misses|store_seconds)"' "$1"
-}
+# strip_timing: drops the run-dependent lines (timing, jobs, store
+# traffic); the field list lives in strip_timing.sh.
+. "$(dirname "$0")/strip_timing.sh"
 
 # run_suite <json> <mode flags...>: one suite process on $STORE.
 run_suite() {

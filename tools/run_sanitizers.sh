@@ -10,7 +10,9 @@
 # checks run under the sanitizer too) and then runs the labeled ctest
 # subsets:
 #
-#   -L smoke   fast unit/harness tests, including the --jobs 4
+#   -L smoke   fast unit/harness tests, including the core's own
+#              unit tests (test_uarch: the scheduler, PAQ and
+#              resource limits), the --jobs 4
 #              parallel suite run, the sim::Memo build-once tests
 #              (test_memo.cc), the cache concurrent-build tests
 #              in test_checkpoint.cc (the TSan targets of interest),
@@ -43,7 +45,7 @@ only=${LVPSIM_SAN_ONLY:-}
 # gtest_discover_tests registers nothing for a binary that was not
 # built, so a smoke- or fuzz-labelled suite left off this list would
 # silently never run under a sanitizer.
-targets="test_containers test_common test_trace test_harness \
+targets="test_containers test_common test_trace test_uarch test_harness \
 test_qa test_kernel_spec test_fuzz test_store test_sampling \
 test_trace_frontend lvpsim_cli"
 tsan_targets="test_differential test_sampling test_store"
